@@ -2,6 +2,59 @@
 
 namespace bcl {
 
+int
+ClockedPartition::cycle()
+{
+    int fired = clockEdge();
+    stats_.cycles++;
+    stats_.rulesFired += static_cast<std::uint64_t>(fired);
+    if (fired > 0)
+        stats_.busyCycles++;
+    lastFired = fired;
+    return fired;
+}
+
+std::uint64_t
+ClockedPartition::stepCycles(std::uint64_t budget, std::uint64_t &fired)
+{
+    std::uint64_t used = 0;
+    while (used < budget) {
+        used++;
+        int f = cycle();
+        fired += static_cast<std::uint64_t>(f);
+        if (f == 0) {
+            // The trailing idle probe consumed real time (the return
+            // value reflects it) but did no work; keep it out of
+            // stats().cycles so cycle accounting is identical whether
+            // the caller paces per cycle, per burst, or free-runs.
+            stats_.cycles--;
+            break;
+        }
+    }
+    return used;
+}
+
+std::uint64_t
+ClockedPartition::run(std::uint64_t max_cycles)
+{
+    std::uint64_t fired = 0;
+    return stepCycles(max_cycles, fired);
+}
+
+ExecStep
+ClockedPartition::step(std::uint64_t budget)
+{
+    ExecStep r;
+    if (perCycle) {
+        r.fired = static_cast<std::uint64_t>(cycle());
+        r.consumed = 1;
+    } else {
+        r.consumed = stepCycles(budget, r.fired);
+    }
+    r.cycles = static_cast<double>(r.consumed);
+    return r;
+}
+
 ClockSim::ClockSim(const ElabProgram &prog, Store &store)
     : I(prog, store), matrix(prog),
       numRules(static_cast<int>(prog.rules.size()))
@@ -11,7 +64,7 @@ ClockSim::ClockSim(const ElabProgram &prog, Store &store)
 }
 
 int
-ClockSim::cycle()
+ClockSim::clockEdge()
 {
     chosen.clear();
     int fired = 0;
@@ -37,46 +90,7 @@ ClockSim::cycle()
             fired++;
         }
     }
-    stats_.cycles++;
-    stats_.rulesFired += fired;
-    if (fired > 0)
-        stats_.busyCycles++;
-    lastFired = fired;
     return fired;
-}
-
-std::uint64_t
-ClockSim::stepCycles(std::uint64_t budget, std::uint64_t &fired)
-{
-    std::uint64_t used = 0;
-    while (used < budget) {
-        used++;
-        int f = cycle();
-        fired += static_cast<std::uint64_t>(f);
-        if (f == 0) {
-            // The trailing idle probe consumed real time (the return
-            // value reflects it) but did no work; keep it out of
-            // stats().cycles so cycle accounting is identical whether
-            // the caller paces per cycle, per burst, or free-runs.
-            stats_.cycles--;
-            break;
-        }
-    }
-    return used;
-}
-
-std::uint64_t
-ClockSim::run(std::uint64_t max_cycles)
-{
-    std::uint64_t used = 0;
-    while (used < max_cycles) {
-        used++;
-        if (cycle() == 0) {
-            stats_.cycles--;  // trailing idle probe: see stepCycles()
-            break;
-        }
-    }
-    return used;
 }
 
 } // namespace bcl

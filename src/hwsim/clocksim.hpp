@@ -22,29 +22,20 @@
 
 #include "core/conflict.hpp"
 #include "core/schedule.hpp"
+#include "runtime/domain_executor.hpp"
 #include "runtime/interp.hpp"
 
 namespace bcl {
 
-/** Per-run counters of the hardware simulator. */
-struct HwStats
-{
-    std::uint64_t cycles = 0;
-    std::uint64_t rulesFired = 0;
-    std::uint64_t busyCycles = 0;  ///< cycles with >= 1 firing
-    std::vector<std::uint64_t> perRuleFires;
-};
-
-/** Synchronous simulator over one elaborated hardware partition. */
-class ClockSim
+/**
+ * Pacing and cycle accounting shared by ClockSim and the compiled
+ * clock edge (hwsim/compiled_hw.hpp), written once over each
+ * backend's clockEdge(), so cycle counts compare bit for bit across
+ * backends (tests/test_codegen_hw.cpp).
+ */
+class ClockedPartition : public DomainExecutor
 {
   public:
-    /**
-     * @param prog Elaborated HW partition (validated: no loops/seq).
-     * @param store Its state.
-     */
-    ClockSim(const ElabProgram &prog, Store &store);
-
     /**
      * Simulate one clock cycle: compose and execute the maximal
      * prioritized conflict-free rule set. Always counts into
@@ -82,17 +73,44 @@ class ClockSim
                              std::uint64_t &fired);
 
     /** True when the last cycle() fired nothing. */
-    bool idle() const { return lastFired == 0; }
+    bool idle() const override { return lastFired == 0; }
 
-    HwStats &stats() { return stats_; }
-    Interp &interp() { return I; }
+    /** stepCycles(budget), or one cycle() when paced per cycle (the
+     *  sequential co-simulation, which observes every channel event
+     *  at its exact cycle). */
+    ExecStep step(std::uint64_t budget) override;
+    void pacePerCycle(bool on) { perCycle = on; }
+
+  protected:
+    /** Fire one edge's rule set. @return rules fired. */
+    virtual int clockEdge() = 0;
+
+    mutable HwStats stats_;  ///< compiled: perRuleFires read lazily
 
   private:
+    int lastFired = 1;  // assume work on first cycle
+    bool perCycle = false;
+};
+
+/** Synchronous simulator over one elaborated hardware partition. */
+class ClockSim final : public ClockedPartition
+{
+  public:
+    /**
+     * @param prog Elaborated HW partition (validated: no loops/seq).
+     * @param store Its state.
+     */
+    ClockSim(const ElabProgram &prog, Store &store);
+
+    HwStats &stats() { return stats_; }
+    const HwStats *hwStats() const override { return &stats_; }
+
+  private:
+    int clockEdge() override;
+
     Interp I;
     ConflictMatrix matrix;
     int numRules;
-    int lastFired = 1;  // assume work on first cycle
-    HwStats stats_;
     std::vector<int> chosen;  // scratch
 };
 

@@ -7,14 +7,14 @@ namespace bcl {
 
 CompiledHwPartition::CompiledHwPartition(const ElabProgram &prog,
                                         GenccOptions opts)
-    : part_(prog, std::move(opts))
+    : part_(prog, std::move(opts)), prims_(part_.program())
 {
     checkHwCapable();
 }
 
 CompiledHwPartition::CompiledHwPartition(
     std::shared_ptr<const CompiledArtifact> artifact)
-    : part_(std::move(artifact))
+    : part_(std::move(artifact)), prims_(part_.program())
 {
     checkHwCapable();
 }
@@ -34,12 +34,17 @@ CompiledHwPartition::checkHwCapable()
                                          "scheduler")
                            : err));
     }
-    numRules_ = static_cast<int>(program().rules.size());
-    stats_.perRuleFires.assign(static_cast<size_t>(numRules_), 0);
+    stats_.perRuleFires.assign(program().rules.size(), 0);
+    // A zero template per SyncTx for the occupancy prefill.
+    for (int id : prims_.tx)
+        txZero_.push_back(
+            program().prims[static_cast<size_t>(id)].type->zeroValue());
+    rxFed_.assign(prims_.rx.size(), 0);
+    txPre_.assign(prims_.tx.size(), 0);
 }
 
 int
-CompiledHwPartition::cycle()
+CompiledHwPartition::clockEdge()
 {
     part_.checkThread("hw cycle");
     int fired =
@@ -47,53 +52,78 @@ CompiledHwPartition::cycle()
     if (fired < 0)
         panic("compiled_hw: bcl_gen_hw_cycle on a stub (artifact "
               "changed underneath us?)");
-    stats_.cycles++;
-    stats_.rulesFired += static_cast<std::uint64_t>(fired);
-    if (fired > 0)
-        stats_.busyCycles++;
-    lastFired = fired;
     return fired;
-}
-
-std::uint64_t
-CompiledHwPartition::stepCycles(std::uint64_t budget,
-                                std::uint64_t &fired)
-{
-    std::uint64_t used = 0;
-    while (used < budget) {
-        used++;
-        int f = cycle();
-        fired += static_cast<std::uint64_t>(f);
-        if (f == 0) {
-            stats_.cycles--;  // trailing idle probe (ClockSim)
-            break;
-        }
-    }
-    return used;
-}
-
-std::uint64_t
-CompiledHwPartition::run(std::uint64_t max_cycles)
-{
-    std::uint64_t used = 0;
-    while (used < max_cycles) {
-        used++;
-        if (cycle() == 0) {
-            stats_.cycles--;  // trailing idle probe (ClockSim)
-            break;
-        }
-    }
-    return used;
 }
 
 const HwStats &
 CompiledHwPartition::stats() const
 {
-    for (int r = 0; r < numRules_; r++) {
-        stats_.perRuleFires[static_cast<size_t>(r)] =
-            part_.artifact_->fnHwStats_(part_.inst_, 3, r);
+    for (size_t r = 0; r < stats_.perRuleFires.size(); r++) {
+        stats_.perRuleFires[r] = part_.artifact_->fnHwStats_(
+            part_.inst_, 3, static_cast<int>(r));
     }
     return stats_;
+}
+
+bool
+CompiledHwPartition::exchangeIn(Store &mirror)
+{
+    bool moved = false;
+    for (size_t i = 0; i < prims_.rx.size(); i++) {
+        const auto &queue = mirror.at(prims_.rx[i]).queue;
+        int fed = 0;
+        while (fed < static_cast<int>(queue.size()) &&
+               part_.pushPrim(prims_.rx[i],
+                              queue[static_cast<size_t>(fed)]))
+            fed++;
+        rxFed_[i] = fed;
+        moved |= fed > 0;
+    }
+    for (size_t i = 0; i < prims_.tx.size(); i++) {
+        const auto &queue = mirror.at(prims_.tx[i]).queue;
+        int pre = 0;
+        while (pre < static_cast<int>(queue.size()) &&
+               part_.pushPrim(prims_.tx[i], txZero_[i]))
+            pre++;
+        txPre_[i] = pre;
+    }
+    return moved;
+}
+
+bool
+CompiledHwPartition::exchangeOut(Store &mirror)
+{
+    bool moved = false;
+    Value v;
+    for (size_t i = 0; i < prims_.rx.size(); i++) {
+        int rem = 0;
+        while (part_.popPrim(prims_.rx[i], v))
+            rem++;
+        int consumed = rxFed_[i] - rem;
+        if (consumed < 0)
+            panic("compiled_hw: rules enqueued into a SyncRx");
+        mirror.at(prims_.rx[i])
+            .queue.pop_front(static_cast<size_t>(consumed));
+    }
+    for (size_t i = 0; i < prims_.tx.size(); i++) {
+        auto &queue = mirror.at(prims_.tx[i]).queue;
+        for (int k = 0; k < txPre_[i]; k++) {
+            if (!part_.popPrim(prims_.tx[i], v))
+                panic("compiled_hw: rules consumed a SyncTx prefill");
+        }
+        while (part_.popPrim(prims_.tx[i], v)) {
+            queue.push_back(std::move(v));
+            moved = true;
+        }
+    }
+    for (int id : prims_.dev) {
+        auto &queue = mirror.at(id).queue;
+        while (part_.popDevice(id, v)) {
+            queue.push_back(std::move(v));
+            moved = true;
+        }
+    }
+    return moved;
 }
 
 } // namespace bcl

@@ -9,18 +9,39 @@
  * WILL_FIRE = constant conflict bitmasks from the static
  * ConflictMatrix, priority = program order).
  *
- * CompiledHwPartition mirrors ClockSim's external-pacing surface —
- * cycle() / run() / stepCycles(budget, fired) / idle() / stats() — so
- * the co-simulation's transports, horizon logic and quiescence
- * detection drive either backend through one code path. Cycle
- * accounting matches ClockSim exactly, including the trailing-idle-
- * probe exclusion in run()/stepCycles(): cross-backend cycle counts
- * are comparable bit for bit, which the differential tests
- * (tests/test_codegen_hw.cpp) rely on.
+ * CompiledHwPartition shares ClockSim's pacing and cycle accounting
+ * through ClockedPartition (hwsim/clocksim.hpp).
  *
  * Messages cross the ABI as canonical marshaled words via the wrapped
  * CompiledPartition (pushPrim/popPrim/popDevice), and the instance
  * inherits its thread-confinement contract — see runtime/gencc.hpp.
+ *
+ * Cycle-exactness across the ABI. With the interpreted backend a
+ * sync fifo is ONE queue that both the transport and the rules touch,
+ * so guards (canEnq/canDeq) see transport-side occupancy directly.
+ * The compiled instance keeps its own gen::Fifo behind the ABI, and
+ * the transports keep talking to the mirror store — so as a
+ * DomainExecutor, before each step (a cycle, or a burst: no channel
+ * activity happens mid-burst) exchangeIn projects the mirror's
+ * occupancy into the instance, and exchangeOut reconciles afterwards:
+ *
+ *   SyncRx (rules only dequeue): feed the mirror's messages in order
+ *   without removing them from the mirror. After the step, whatever
+ *   is left in the instance is a duplicate — drain and discard it;
+ *   the difference is how many the rules consumed, and that many are
+ *   popped off the mirror front. The mirror stays the full-occupancy
+ *   source of truth for the transport's credit checks.
+ *
+ *   SyncTx (rules only enqueue): the instance fifo is empty between
+ *   steps (we drain it fully), but the producer guard must see the
+ *   not-yet-delivered backlog or it would never feel backpressure and
+ *   cycle counts would diverge. Prefill with one zero-valued dummy
+ *   per backlogged mirror entry, step, pop the dummies back off, and
+ *   append only the genuinely new messages to the mirror tail.
+ *
+ * This relies on the same contract the interpreter enforces
+ * dynamically: rules never enqueue into a SyncRx, never dequeue from
+ * a SyncTx, and never clear a sync fifo.
  */
 #ifndef BCL_HWSIM_COMPILED_HW_HPP
 #define BCL_HWSIM_COMPILED_HW_HPP
@@ -34,7 +55,7 @@
 namespace bcl {
 
 /** One live clock-edge instance of a compiled hardware partition. */
-class CompiledHwPartition
+class CompiledHwPartition final : public ClockedPartition
 {
   public:
     /** True when a host C++ compiler responds on this machine. */
@@ -58,28 +79,15 @@ class CompiledHwPartition
     CompiledHwPartition &operator=(const CompiledHwPartition &) =
         delete;
 
-    /** Clock one edge (maximal prioritized conflict-free rule set).
-     *  Always counts into stats().cycles, exactly like
-     *  ClockSim::cycle(). @return rules fired. */
-    int cycle();
-
-    /** Free-run until quiescent or @p max_cycles elapse; trailing
-     *  idle probe excluded from stats().cycles (ClockSim::run). */
-    std::uint64_t run(std::uint64_t max_cycles);
-
-    /** Externally paced burst; same contract as
-     *  ClockSim::stepCycles (return value includes the trailing idle
-     *  probe, stats().cycles does not). */
-    std::uint64_t stepCycles(std::uint64_t budget,
-                             std::uint64_t &fired);
-
-    /** True when the last cycle() fired nothing. */
-    bool idle() const { return lastFired == 0; }
-
     /** Host-side counters (perRuleFires refreshed across the ABI on
      *  every call; same race caveats as CompiledPartition counter
      *  reads). */
     const HwStats &stats() const;
+    const HwStats *hwStats() const override { return &stats(); }
+
+    // The occupancy projection of the file comment.
+    bool exchangeIn(Store &mirror) override;
+    bool exchangeOut(Store &mirror) override;
 
     // Marshaled message exchange (delegates to the wrapped instance).
     bool pushPrim(int prim_id, const Value &v)
@@ -96,23 +104,20 @@ class CompiledHwPartition
     }
 
     /** Release thread ownership (see CompiledPartition). */
-    void rebindThread() { part_.rebindThread(); }
+    void rebindThread() override { part_.rebindThread(); }
 
     const ElabProgram &program() const { return part_.program(); }
-
-    const std::shared_ptr<const CompiledArtifact> &artifact() const
-    {
-        return part_.artifact();
-    }
 
   private:
     /** Reject artifacts whose hw entry points are stubs. */
     void checkHwCapable();
+    int clockEdge() override;
 
     CompiledPartition part_;
-    int numRules_ = 0;
-    int lastFired = 1;  // assume work on first cycle (ClockSim)
-    mutable HwStats stats_;
+    MirrorPrims prims_;
+    std::vector<Value> txZero_;  ///< zero template per prims_.tx
+    std::vector<int> rxFed_;     ///< per-step scratch, ∥ prims_.rx
+    std::vector<int> txPre_;     ///< per-step scratch, ∥ prims_.tx
 };
 
 } // namespace bcl

@@ -1,5 +1,7 @@
 #include "platform/channel.hpp"
 
+#include <utility>
+
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 
@@ -131,15 +133,16 @@ ChannelTransport::deliver(std::uint64_t now)
         // Consumer end: fold the queue drain observed since the last
         // call back into the credit charge.
         size_t sz = rx.queue.size();
-        if (sz < lastRxSize_) {
-            charged_.fetch_sub(static_cast<int>(lastRxSize_ - sz),
+        if (sz < lastRxSize_)
+            freed_ += static_cast<int>(lastRxSize_ - sz);
+        if (!epochs_)
+            charged_.fetch_sub(std::exchange(freed_, 0),
                                std::memory_order_acq_rel);
-        }
         lastRxSize_ = sz;
     }
     bool any = false;
     while (InFlight *f = ring_.front()) {
-        if (f->deliverAt > now)
+        if (f->deliverAt > now || (epochs_ && visible_ == 0))
             break;
         if (static_cast<int>(rx.queue.size()) >= spec_.capacity)
             panic("channel '" + spec_.name +
@@ -151,6 +154,8 @@ ChannelTransport::deliver(std::uint64_t now)
             rx.queue.push_back(std::move(f->msg));
         }
         ring_.pop();
+        if (epochs_)
+            visible_--;
         any = true;
         if (traced_) {
             delivered_++;
@@ -167,6 +172,14 @@ ChannelTransport::deliver(std::uint64_t now)
     return any;
 }
 
+void
+ChannelTransport::barrier()
+{
+    epochs_ = true;
+    charged_.fetch_sub(std::exchange(freed_, 0), std::memory_order_acq_rel);
+    visible_ = ring_.size();
+}
+
 std::uint64_t
 ChannelTransport::nextEventAt() const
 {
@@ -180,13 +193,6 @@ ChannelTransport::nextEventAt() const
             next = pickup;
     }
     return next;
-}
-
-bool
-ChannelTransport::busy() const
-{
-    return !ring_.empty() ||
-           !txStore.at(spec_.txPrim).queue.empty();
 }
 
 } // namespace bcl

@@ -29,7 +29,7 @@
  * (threaded=false) credits are computed from the live consumer queue
  * exactly as the single-threaded co-simulation always has, so cycle
  * accounting is bit-stable against history. Mixed-end views
- * (nextEventAt(), busy()) are only valid when both domains are
+ * (nextEventAt()) are only valid when both domains are
  * quiesced — the co-simulation calls them single-threaded or at
  * epoch barriers.
  *
@@ -126,19 +126,21 @@ class ChannelTransport
     std::uint64_t
     nextArrivalAt() const
     {
-        const InFlight *f = ring_.front();
+        const InFlight *f =
+            epochs_ && visible_ == 0 ? nullptr : ring_.front();
         return f ? f->deliverAt
                  : std::numeric_limits<std::uint64_t>::max();
     }
+
+    /** Epoch barrier (both ends quiesced). From the first call on,
+     *  each end sees the other's pickups and freed credits only as of
+     *  the latest barrier: threaded runs become reproducible. */
+    void barrier();
 
     /** Earliest pending event (arrival or deferred pickup), or
      *  UINT64_MAX when nothing is pending. Both-ends view: only
      *  valid single-threaded / at an epoch barrier. */
     std::uint64_t nextEventAt() const;
-
-    /** Messages staged or in flight? (Both-ends view — see
-     *  nextEventAt.) */
-    bool busy() const;
 
     const ChannelSpec &spec() const { return spec_; }
     const ChannelStats &stats() const { return stats_; }
@@ -169,7 +171,8 @@ class ChannelTransport
      * Threaded-mode credit charge: messages counted against the
      * consumer's capacity (in flight + believed still in the consumer
      * queue). The producer increments at pickup; the consumer
-     * decrements as it observes its queue drain (deliver() entry).
+     * decrements as it observes its queue drain (deliver() entry; at
+     * the next barrier() in epoch mode).
      * The observation lags the actual drain, so the charge is always
      * conservative — the rx-overflow panic in deliver() stays a hard
      * invariant under threading.
@@ -177,6 +180,9 @@ class ChannelTransport
     std::atomic<int> charged_{0};
     /** Consumer-side memo of the last observed rx queue size. */
     size_t lastRxSize_ = 0;
+    bool epochs_ = false;  ///< a barrier() happened
+    size_t visible_ = 0;   ///< epochs: in-flight messages published
+    int freed_ = 0;        ///< credits freed since the last barrier
 
     // Producer-side deferral episode being accrued (stall fix:
     // charge deferred *cycles*, not pump attempts). stalledSince_ is

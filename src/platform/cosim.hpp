@@ -3,12 +3,12 @@
  * Hardware/software co-simulation in virtual time. Executes a
  * partitioned program end to end:
  *
- *   - each software domain runs under a RuleEngine; abstract work is
- *     converted to FPGA cycles through the CPU clock ratio and CPI
- *     (PPC440 at 400 MHz vs fabric at 100 MHz: 4 CPU cycles per FPGA
- *     cycle),
- *   - each hardware domain runs under a ClockSim, one rule set per
- *     FPGA cycle, skipping idle gaps event-driven,
+ *   - each domain runs behind one DomainExecutor
+ *     (runtime/domain_executor.hpp); software work is converted to
+ *     FPGA cycles through the CPU clock ratio and CPI (PPC440 at
+ *     400 MHz vs fabric at 100 MHz: 4 CPU cycles per FPGA cycle),
+ *   - hardware runs one rule set per FPGA cycle, skipping idle gaps
+ *     event-driven,
  *   - channels move messages between partitions with bus timing and
  *     credit-based flow control.
  *
@@ -31,11 +31,12 @@
  * takes the historical single-threaded loop bit for bit (outputs,
  * firing counts AND reported cycle counts); threads > 1 keeps
  * outputs and firing counts bit-identical while reported cycle
- * counts may shift within an epoch. See "Parallel co-simulation" in
- * docs/ARCHITECTURE.md.
+ * counts shift within an epoch (reproducibly: workers see each
+ * other's channel traffic only at barriers). See "Parallel
+ * co-simulation" in docs/ARCHITECTURE.md.
  *
  * Contract: construct from a PartitionResult whose parts/channels are
- * untouched since partitionProgram(); the cosim owns one engine per
+ * untouched since partitionProgram(); the cosim owns one executor per
  * partition and advances them in virtual time until the caller's done
  * predicate holds. Global quiescence before then (no engine can fire,
  * no message in flight, driver blocked) is reported as a deadlock
@@ -273,36 +274,6 @@ struct CosimConfig
 };
 
 /**
- * Backend-neutral handle a SwDriver uses to feed a software domain:
- * the same driver closure works whether the domain runs interpreted
- * or compiled. Only the operations a host "up the stack" legitimately
- * has are exposed — transactional root-method calls and the domain's
- * committed state (for compiled domains, the mirror Store that
- * channel transports and done-predicates already read).
- */
-class SwPort
-{
-  public:
-    virtual ~SwPort() = default;
-
-    /** Invoke a root-interface action method transactionally.
-     *  @return true when it committed. */
-    virtual bool callActionMethod(int meth_id,
-                                  const std::vector<Value> &args) = 0;
-
-    /** Modeled work consumed so far. Compiled domains do not model
-     *  work; they report 0 and drivers fall back to their own
-     *  per-call estimate. */
-    virtual std::uint64_t work() const = 0;
-
-    /** The domain's committed state (mirror Store when compiled). */
-    virtual Store &store() = 0;
-
-    /** The interpreter behind this port; nullptr when compiled. */
-    virtual Interp *interp() { return nullptr; }
-};
-
-/**
  * Host-side input source driving a software partition.
  *
  * Threading contract: in parallel co-simulation step() runs on the
@@ -325,6 +296,16 @@ struct SwDriver
     /** True when the driver has no more input to offer. */
     std::function<bool()> done;
 };
+
+/**
+ * The executor behind partition @p part per swBackend / hwBackend /
+ * transportOf — the only code that names a concrete backend. In-
+ * process hardware steps one counted cycle at a time when
+ * @p per_cycle (the sequential engine), else in budget-sized bursts.
+ */
+std::unique_ptr<DomainExecutor> makeDomainExecutor(
+    const PartitionPart &part, const CosimConfig &cfg, Store &mirror,
+    bool per_cycle);
 
 /** Co-simulation engine over a PartitionResult. */
 class CoSim
@@ -387,12 +368,12 @@ class CoSim
     std::vector<LinkUsage> linkUsage() const;
 
     /**
-     * Release compiled-partition thread ownership for every software
-     * domain (rebindThread on each instance). The serving layer calls
-     * this when a session yields its frame quantum so the next worker
+     * Release compiled-partition thread ownership for every domain
+     * (DomainExecutor::rebindThread). The serving layer calls this
+     * when a session yields its frame quantum so the next worker
      * that claims the session may drive it; the pool's ready queue is
      * the required synchronization point. The parallel engine already
-     * does the equivalent at shutdown.
+     * does the same at shutdown.
      */
     void rebindCompiledThreads();
 
@@ -416,17 +397,12 @@ class CoSim
     struct SwProc
     {
         std::string domain;
-        /**
-         * Committed state when interpreted; the *mirror* store when
-         * compiled: channel transports, done-predicates and drivers
-         * keep reading/writing it, and the slice loop exchanges its
-         * synchronizer/device queues with the shared object through
-         * the marshaled C ABI (sync-half stubs).
-         */
+        /** Channel-facing state: the committed store when
+         *  interpreted, the mirror of the shared object's
+         *  synchronizer/device queues when compiled. Transports,
+         *  done-predicates and drivers read/write it either way. */
         std::unique_ptr<Store> store;
-        std::unique_ptr<Interp> interp;
-        std::unique_ptr<RuleEngine> engine;
-        std::unique_ptr<CompiledPartition> compiled;
+        std::unique_ptr<DomainExecutor> exec;
         SwDriver driver;
         double time = 0;  ///< local virtual time, FPGA cycles
         bool driverBlocked = false;
@@ -435,50 +411,23 @@ class CoSim
     struct HwProc
     {
         std::string domain;
+        /** Channel-facing (mirror) store; see SwProc::store. */
         std::unique_ptr<Store> store;
-        /** Interpreted backend; null when compiled is set. The store
-         *  stays live either way: transports read/write it, so with a
-         *  compiled backend it becomes the channel-facing mirror of
-         *  the generated instance's sync fifos. */
-        std::unique_ptr<ClockSim> sim;
-        std::unique_ptr<CompiledHwPartition> compiled;
-        /** Set when the domain runs in another process (SharedMem /
-         *  Tcp transport); sim and compiled stay null — the store is
-         *  the mirror the relay and the transports share. */
-        std::unique_ptr<RemoteHwPartition> remote;
+        std::unique_ptr<DomainExecutor> exec;
         std::uint64_t time = 0;
-        // Compiled-backend marshaling plan, resolved once at
-        // construction (prim ids by kind; zero template per SyncTx
-        // for occupancy prefill).
-        std::vector<int> rxPrims, txPrims, devPrims;
-        std::vector<Value> txZero;  ///< parallel to txPrims
-        std::vector<int> rxFed;     ///< per-burst scratch, ∥ rxPrims
-        std::vector<int> txPre;     ///< per-burst scratch, ∥ txPrims
     };
 
     bool sliceSoftware(SwProc &sw);
-    bool sliceSoftwareCompiled(SwProc &sw);
-    bool tryDriver(SwProc &sw, double work_to_cycles);
-    /** Mirror SyncRx deliveries into the shared object. */
-    bool feedCompiledInputs(SwProc &sw);
-    /** Mirror SyncTx/device output out of the shared object. */
-    bool drainCompiledOutputs(SwProc &sw);
+    bool tryDriver(SwProc &sw);
     bool sliceHardware(HwProc &hw, std::uint64_t horizon);
-    /** Slice a domain that lives in another process: ship staged
-     *  inputs, run a budget-based remote slice, fold outputs back. */
-    bool sliceHardwareRemote(HwProc &hw, std::uint64_t horizon);
-    /** Project mirror-fifo occupancy into the compiled instance so
-     *  generated guards see exactly what ClockSim's would. */
-    void hwSyncIn(HwProc &hw);
-    /** Reconcile the compiled instance's sync fifos back into the
-     *  mirror store after a cycle/burst. */
-    void hwSyncOut(HwProc &hw);
     void pumpFrom(const std::string &domain, std::uint64_t time);
     bool deliverTo(const std::string &domain, std::uint64_t time);
     std::uint64_t nextChannelEvent() const;
     /** Next delivery addressed to @p domain (consumer-end view in
      *  parallel mode; both-ends view otherwise). */
     std::uint64_t nextDeliveryTo(const std::string &domain) const;
+    std::uint64_t hwHorizon() const;
+    void advancePast(std::uint64_t next);
 
     /** The single-threaded virtual-time loop (threads == 1). */
     std::uint64_t runSequential(const std::function<bool(CoSim &)> &done);

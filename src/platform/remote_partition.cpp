@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <thread>
 
 #include <signal.h>
@@ -127,16 +128,16 @@ class TcpRemoteLink final : public RemoteLink
     FrameConn conn_;
 };
 
-/** Parent side: owns the segment; child side: borrows it (the
- *  segment object lives in the parent's proxy, but the pages are
- *  shared so the child constructs its own view over base()). */
+/** Parent side: owns the segment and initializes the rings; child
+ *  side: views the same pages over @p base (the segment object stays
+ *  in the parent's proxy). */
 class ShmRemoteLink final : public RemoteLink
 {
   public:
-    ShmRemoteLink(std::unique_ptr<ShmSegment> seg, bool parent_side,
-                  bool init)
+    ShmRemoteLink(void *base, std::unique_ptr<ShmSegment> seg,
+                  bool parent_side)
         : seg_(std::move(seg)),
-          link_(seg_->base(), kShmRingWords, parent_side, init)
+          link_(base, kShmRingWords, parent_side, parent_side)
     {
     }
 
@@ -213,15 +214,61 @@ get64(const std::vector<std::uint32_t> &p, std::size_t at)
     return p[at] | (static_cast<std::uint64_t>(p[at + 1]) << 32);
 }
 
+/** Message type of every prim that crosses the wire, by prim id. */
+std::map<int, TypePtr>
+payloadTypes(const ElabProgram &prog, const MirrorPrims &prims)
+{
+    std::map<int, TypePtr> types;
+    for (int id : prims.rx)
+        types[id] = prog.prims[static_cast<size_t>(id)].type;
+    for (int id : prims.tx)
+        types[id] = prog.prims[static_cast<size_t>(id)].type;
+    for (int id : prims.dev)
+        types[id] = devicePayloadType(prog, id);
+    return types;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
 // Child/host half: serve slices over a link
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/** Send a diagnostic to the coordinator (best effort). */
+void
+sendError(RemoteLink &link, const std::string &why, int timeout_ms)
+{
+    Frame err;
+    err.type = FrameType::Error;
+    err.setText("partition host: " + why);
+    link.send(err, timeout_ms);
+}
+
+/** Ship and clear every queued message of @p prims. */
+bool
+shipQueues(RemoteLink &link, Store &store, const std::vector<int> &prims,
+           int timeout_ms)
+{
+    for (int id : prims) {
+        auto &q = store.at(id).queue;
+        for (const Value &v : q) {
+            Frame m;
+            m.type = FrameType::Msg;
+            m.channel = static_cast<std::uint32_t>(id);
+            m.payload = marshalValue(v);
+            if (!link.send(m, timeout_ms))
+                return false;
+        }
+        q.pop_front(q.size());
+    }
+    return true;
+}
+
 int
-servePartitionSlices(RemoteLink &link, const ElabProgram &prog,
-                     int timeout_ms)
+serveSlices(RemoteLink &link, const ElabProgram &prog, int timeout_ms,
+            const ExecutorFactory &make_executor)
 {
     const std::uint64_t hash = programSignature(prog);
 
@@ -259,21 +306,9 @@ servePartitionSlices(RemoteLink &link, const ElabProgram &prog,
     // --- partition state (fork flavor inherits prog; the exec'd
     // host rebuilt it from the workload name) ----------------------
     Store store(prog);
-    ClockSim sim(prog, store);
-    std::map<int, TypePtr> rxType;
-    std::vector<int> txPrims, devPrims;
-    std::map<int, TypePtr> outType;
-    for (const auto &prim : prog.prims) {
-        if (prim.kind == "SyncRx") {
-            rxType[prim.id] = prim.type;
-        } else if (prim.kind == "SyncTx") {
-            txPrims.push_back(prim.id);
-            outType[prim.id] = prim.type;
-        } else if (prim.kind == "AudioDev") {
-            devPrims.push_back(prim.id);
-            outType[prim.id] = devicePayloadType(prog, prim.id);
-        }
-    }
+    std::unique_ptr<DomainExecutor> exec = make_executor(store);
+    const MirrorPrims prims(prog);
+    const std::map<int, TypePtr> types = payloadTypes(prog, prims);
 
     for (;;) {
         st = link.recv(f, 1000);
@@ -282,23 +317,20 @@ servePartitionSlices(RemoteLink &link, const ElabProgram &prog,
         if (st == RecvStatus::Closed)
             return 0;  // coordinator gone — nothing left to serve
         if (st == RecvStatus::Corrupt) {
-            Frame err;
-            err.type = FrameType::Error;
-            err.setText("partition host: transport corrupt: " +
-                        link.error());
-            link.send(err, timeout_ms);
+            sendError(link, "transport corrupt: " + link.error(),
+                      timeout_ms);
             return 4;
         }
         switch (f.type) {
         case FrameType::Msg: {
-            auto it = rxType.find(static_cast<int>(f.channel));
-            if (it == rxType.end()) {
-                Frame err;
-                err.type = FrameType::Error;
-                err.setText("partition host: Msg for prim " +
-                            std::to_string(f.channel) +
-                            " which is not a SyncRx here");
-                link.send(err, timeout_ms);
+            auto it = types.find(static_cast<int>(f.channel));
+            if (it == types.end() ||
+                prog.prims[static_cast<size_t>(it->first)].kind !=
+                    "SyncRx") {
+                sendError(link,
+                          "Msg for prim " + std::to_string(f.channel) +
+                              " which is not a SyncRx here",
+                          timeout_ms);
                 return 4;
             }
             store.at(static_cast<int>(f.channel))
@@ -307,44 +339,22 @@ servePartitionSlices(RemoteLink &link, const ElabProgram &prog,
             break;
         }
         case FrameType::Run: {
-            std::uint64_t budget = f.arg > 0 ? f.arg : 1;
-            std::uint64_t fired = 0;
-            std::uint64_t consumed = sim.stepCycles(budget, fired);
-            bool active = !sim.idle();
+            exec->exchangeIn(store);
+            ExecStep r = exec->step(f.arg > 0 ? f.arg : 1);
+            exec->exchangeOut(store);
             // Ship produced messages before the report so the
             // coordinator sees a complete slice at SliceDone.
-            for (int txid : txPrims) {
-                auto &q = store.at(txid).queue;
-                for (const Value &v : q) {
-                    Frame m;
-                    m.type = FrameType::Msg;
-                    m.channel = static_cast<std::uint32_t>(txid);
-                    m.payload = marshalValue(v);
-                    if (!link.send(m, timeout_ms))
-                        return 4;
-                }
-                q.pop_front(q.size());
-            }
-            for (int devid : devPrims) {
-                auto &q = store.at(devid).queue;
-                for (const Value &v : q) {
-                    Frame m;
-                    m.type = FrameType::Msg;
-                    m.channel = static_cast<std::uint32_t>(devid);
-                    m.payload = marshalValue(v);
-                    if (!link.send(m, timeout_ms))
-                        return 4;
-                }
-                q.pop_front(q.size());
-            }
-            const HwStats &hs = sim.stats();
+            if (!shipQueues(link, store, prims.tx, timeout_ms) ||
+                !shipQueues(link, store, prims.dev, timeout_ms))
+                return 4;
+            const HwStats &hs = *exec->hwStats();
             Frame doneF;
             doneF.type = FrameType::SliceDone;
             doneF.payload.assign(
                 kRepWords + 2 * hs.perRuleFires.size(), 0);
-            put64(doneF.payload, kRepConsumedLo, consumed);
-            put64(doneF.payload, kRepFiredLo, fired);
-            doneF.payload[kRepActive] = active ? 1 : 0;
+            put64(doneF.payload, kRepConsumedLo, r.consumed);
+            put64(doneF.payload, kRepFiredLo, r.fired);
+            doneF.payload[kRepActive] = exec->idle() ? 0 : 1;
             put64(doneF.payload, kRepStatCyclesLo, hs.cycles);
             put64(doneF.payload, kRepStatFiredLo, hs.rulesFired);
             put64(doneF.payload, kRepStatBusyLo, hs.busyCycles);
@@ -365,6 +375,24 @@ servePartitionSlices(RemoteLink &link, const ElabProgram &prog,
     }
 }
 
+} // namespace
+
+int
+servePartitionSlices(RemoteLink &link, const ElabProgram &prog,
+                     int timeout_ms, const ExecutorFactory &make_executor)
+{
+    // Catch everything: in a forked child an escaping exception would
+    // unwind into the child's copy of the parent's stack.
+    try {
+        return serveSlices(link, prog, timeout_ms, make_executor);
+    } catch (const std::exception &e) {
+        sendError(link, e.what(), timeout_ms);
+    } catch (...) {
+        sendError(link, "unknown exception", timeout_ms);
+    }
+    return 6;
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator-side proxy
 // ---------------------------------------------------------------------------
@@ -382,17 +410,12 @@ RemoteHwPartition::die(const std::string &why) const
 RemoteHwPartition::RemoteHwPartition(const ElabProgram &prog,
                                      TransportKind kind,
                                      std::string domain,
-                                     RemoteOptions opts)
+                                     RemoteOptions opts,
+                                     ExecutorFactory make_executor)
     : prog_(prog), domain_(std::move(domain)),
-      timeoutMs_(opts.timeoutMs), traced_(opts.traced)
+      timeoutMs_(opts.timeoutMs), traced_(opts.traced),
+      prims_(prog), payloadType_(payloadTypes(prog, prims_))
 {
-    for (const auto &prim : prog.prims) {
-        if (prim.kind == "SyncRx" || prim.kind == "SyncTx")
-            payloadType_[prim.id] = prim.type;
-        else if (prim.kind == "AudioDev")
-            payloadType_[prim.id] = devicePayloadType(prog, prim.id);
-    }
-    stats_.perRuleFires.assign(prog.rules.size(), 0);
 
     if (kind == TransportKind::SharedMem) {
         auto seg = std::make_unique<ShmSegment>(
@@ -402,8 +425,8 @@ RemoteHwPartition::RemoteHwPartition(const ElabProgram &prog,
         void *base = seg->base();
         // Parent view initializes both rings BEFORE the fork so the
         // child attaches to a consistent segment.
-        auto plink = std::make_unique<ShmRemoteLink>(std::move(seg),
-                                                     true, true);
+        auto plink =
+            std::make_unique<ShmRemoteLink>(base, std::move(seg), true);
         pid_t pid = ::fork();
         if (pid < 0)
             die("fork failed: " + std::string(std::strerror(errno)));
@@ -411,32 +434,12 @@ RemoteHwPartition::RemoteHwPartition(const ElabProgram &prog,
             // Child: serve slices over its own view of the same
             // pages; the program was inherited by fork, nothing was
             // serialized. Exit without running parent atexit state.
-            ShmFrameLink clink(base, kShmRingWords, false, false);
+            ShmRemoteLink clink(base, nullptr, false);
             pid_t parent = ::getppid();
-            clink.setPeerDeadCheck(
+            clink.frameLink().setPeerDeadCheck(
                 [parent] { return ::getppid() != parent; });
-            class ChildView final : public RemoteLink
-            {
-              public:
-                explicit ChildView(ShmFrameLink &l) : l_(l) {}
-                bool send(const Frame &f, int t) override
-                {
-                    return l_.send(f, t);
-                }
-                RecvStatus recv(Frame &o, int t) override
-                {
-                    return l_.recv(o, t);
-                }
-                const std::string &error() const override
-                {
-                    return l_.error();
-                }
-
-              private:
-                ShmFrameLink &l_;
-            } view(clink);
-            int rc = servePartitionSlices(view, prog, opts.timeoutMs);
-            ::_exit(rc);
+            ::_exit(servePartitionSlices(clink, prog, opts.timeoutMs,
+                                         make_executor));
         }
         pid_ = pid;
         plink->frameLink().setPeerDeadCheck([this] {
@@ -465,9 +468,8 @@ RemoteHwPartition::RemoteHwPartition(const ElabProgram &prog,
             if (fd < 0)
                 ::_exit(5);
             TcpRemoteLink clink(fd);
-            int rc =
-                servePartitionSlices(clink, prog, opts.timeoutMs);
-            ::_exit(rc);
+            ::_exit(servePartitionSlices(clink, prog, opts.timeoutMs,
+                                         make_executor));
         }
         pid_ = pid;
         int cfd = listener.acceptWithin(opts.timeoutMs);
@@ -486,15 +488,9 @@ RemoteHwPartition::RemoteHwPartition(const ElabProgram &prog,
                                      std::string domain,
                                      RemoteOptions opts)
     : prog_(prog), domain_(std::move(domain)),
-      timeoutMs_(opts.timeoutMs), traced_(opts.traced)
+      timeoutMs_(opts.timeoutMs), traced_(opts.traced),
+      prims_(prog), payloadType_(payloadTypes(prog, prims_))
 {
-    for (const auto &prim : prog.prims) {
-        if (prim.kind == "SyncRx" || prim.kind == "SyncTx")
-            payloadType_[prim.id] = prim.type;
-        else if (prim.kind == "AudioDev")
-            payloadType_[prim.id] = devicePayloadType(prog, prim.id);
-    }
-    stats_.perRuleFires.assign(prog.rules.size(), 0);
     if (!netTransportAvailable())
         die("loopback TCP sockets unavailable in this sandbox");
     int fd = tcpConnect(parseEndpointPort(endpoint), opts.timeoutMs);
@@ -507,6 +503,7 @@ RemoteHwPartition::RemoteHwPartition(const ElabProgram &prog,
 void
 RemoteHwPartition::handshake(const RemoteOptions &opts)
 {
+    stats_.perRuleFires.assign(prog_.rules.size(), 0);
     Frame hello;
     hello.type = FrameType::Hello;
     hello.payload.assign(3, 0);
@@ -567,28 +564,29 @@ RemoteHwPartition::~RemoteHwPartition()
     }
 }
 
-void
-RemoteHwPartition::shipInputs(Store &mirror)
+bool
+RemoteHwPartition::exchangeIn(Store &mirror)
 {
-    for (const auto &prim : prog_.prims) {
-        if (prim.kind != "SyncRx")
-            continue;
-        auto &queue = mirror.at(prim.id).queue;
+    bool moved = false;
+    for (int id : prims_.rx) {
+        auto &queue = mirror.at(id).queue;
         for (const Value &v : queue) {
             Frame m;
             m.type = FrameType::Msg;
-            m.channel = static_cast<std::uint32_t>(prim.id);
+            m.channel = static_cast<std::uint32_t>(id);
             m.flowId = nextFlow_++;
             m.payload = marshalValue(v);
             if (!link_->send(m, timeoutMs_))
                 die("shipping a channel message failed mid-epoch");
+            moved = true;
         }
         queue.pop_front(queue.size());
     }
+    return moved;
 }
 
-RemoteHwPartition::SliceResult
-RemoteHwPartition::runSlice(Store &mirror, std::uint64_t budget)
+ExecStep
+RemoteHwPartition::step(std::uint64_t budget)
 {
     auto t0 = std::chrono::steady_clock::now();
     Frame runF;
@@ -597,7 +595,7 @@ RemoteHwPartition::runSlice(Store &mirror, std::uint64_t budget)
     if (!link_->send(runF, timeoutMs_))
         die("slice request failed mid-epoch (peer dead?)");
 
-    SliceResult res;
+    ExecStep res;
     for (;;) {
         Frame f;
         RecvStatus st = link_->recv(f, timeoutMs_);
@@ -614,27 +612,29 @@ RemoteHwPartition::runSlice(Store &mirror, std::uint64_t budget)
             if (it == payloadType_.end())
                 die("produced message for unknown prim " +
                     std::to_string(f.channel));
-            mirror.at(static_cast<int>(f.channel))
-                .queue.push_back(
-                    demarshalValue(it->second, f.payload));
+            produced_.emplace_back(
+                it->first, demarshalValue(it->second, f.payload));
             continue;
         }
         if (f.type == FrameType::SliceDone) {
             if (f.payload.size() < kRepWords)
                 die("short slice report");
+            std::size_t n = f.payload[kRepNumRules];
+            if (f.payload.size() < kRepWords + 2 * n)
+                die("truncated slice report: " + std::to_string(n) +
+                    " rules declared, per-rule counts for " +
+                    std::to_string((f.payload.size() - kRepWords) / 2));
             res.consumed = get64(f.payload, kRepConsumedLo);
+            res.cycles = static_cast<double>(res.consumed);
             res.fired = get64(f.payload, kRepFiredLo);
-            res.active = f.payload[kRepActive] != 0;
+            active_ = f.payload[kRepActive] != 0;
             stats_.cycles = get64(f.payload, kRepStatCyclesLo);
             stats_.rulesFired = get64(f.payload, kRepStatFiredLo);
             stats_.busyCycles = get64(f.payload, kRepStatBusyLo);
-            std::size_t n = f.payload[kRepNumRules];
-            if (f.payload.size() >= kRepWords + 2 * n) {
-                stats_.perRuleFires.resize(n);
-                for (std::size_t i = 0; i < n; i++)
-                    stats_.perRuleFires[i] =
-                        get64(f.payload, kRepWords + 2 * i);
-            }
+            stats_.perRuleFires.resize(n);
+            for (std::size_t i = 0; i < n; i++)
+                stats_.perRuleFires[i] =
+                    get64(f.payload, kRepWords + 2 * i);
             break;
         }
         // Anything else mid-slice is a protocol error.
@@ -650,6 +650,16 @@ RemoteHwPartition::runSlice(Store &mirror, std::uint64_t budget)
                          .count());
     }
     return res;
+}
+
+bool
+RemoteHwPartition::exchangeOut(Store &mirror)
+{
+    bool moved = !produced_.empty();
+    for (auto &[id, v] : produced_)
+        mirror.at(id).queue.push_back(std::move(v));
+    produced_.clear();
+    return moved;
 }
 
 } // namespace bcl

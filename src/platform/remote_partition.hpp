@@ -1,6 +1,6 @@
 /**
  * @file
- * Remote hardware partitions: run a partition's ClockSim in another
+ * Remote hardware partitions: run a partition's executor in another
  * process and relay its latency-insensitive channel traffic per
  * slice. This is the distributed-LIBDN cash-in of the paper's §4.4
  * argument — because every cross-domain interface is a synchronizer
@@ -12,39 +12,44 @@
  * Architecture (mirror-store relay): every ChannelTransport stays in
  * the coordinator process, operating on the domain's mirror Store —
  * flow pairing, channel.* metrics, credit checks and deadlock
- * detection are untouched. Only the boundary crosses the wire,
- * exactly the compiled-hw hwSyncIn/hwSyncOut pattern stretched over
- * a process:
+ * detection are untouched. RemoteHwPartition is the coordinator's
+ * DomainExecutor for the domain; only the boundary crosses the wire:
  *
  *   parent: deliveries land in mirror SyncRx queues
- *         -> shipInputs(): marshal + Msg frames to the child
- *         -> Run{budget}: child clocks its ClockSim up to `budget`
- *            cycles (stopping early when idle — no new input can
- *            arrive mid-slice)
- *         -> child drains SyncTx/device queues back as Msg frames,
- *            then SliceDone{consumed, cumulative stats, active}
- *         -> parent demarshals into mirror queues; transports pick
- *            them up; hw.time += consumed.
+ *         -> exchangeIn(): marshal + Msg frames to the child
+ *         -> step(budget) = Run{budget}: the child clocks its own
+ *            executor up to `budget` cycles (stopping early when
+ *            idle — no new input can arrive mid-slice), then ships
+ *            SyncTx/device output back as Msg frames and
+ *            SliceDone{consumed, cumulative stats, active}
+ *         -> exchangeOut(): demarshal into mirror queues; transports
+ *            pick them up; hw.time += consumed.
  *
- * The child is stateless with respect to absolute virtual time (the
- * parent owns the clock), so the coordinator's quiescence-advance
- * logic needs no changes. A handshake verifying kCppGenAbiVersion
- * and the program signature runs before any payload; peer death or
- * a slice overrunning the transport timeout surfaces as one clean
- * FatalError naming the domain and pid.
+ * A forked child builds its executor through makeDomainExecutor from
+ * an artifact the coordinator resolved before the fork. The child is
+ * stateless with respect to absolute virtual time (the parent owns
+ * the clock), so the coordinator's quiescence-advance logic needs no
+ * changes. A handshake verifying kCppGenAbiVersion and the program
+ * signature runs before any payload; peer death, a slice overrunning
+ * the transport timeout, a malformed slice report or an exception in
+ * the child surfaces as one clean FatalError naming the domain and
+ * pid.
  */
 #ifndef BCL_PLATFORM_REMOTE_PARTITION_HPP
 #define BCL_PLATFORM_REMOTE_PARTITION_HPP
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <sys/types.h>
 
 #include "core/elaborate.hpp"
-#include "hwsim/clocksim.hpp"
+#include "runtime/domain_executor.hpp"
 #include "platform/net_transport.hpp"
 #include "runtime/store.hpp"
 
@@ -96,6 +101,10 @@ struct RemoteOptions
     int helloAbiOverride = -1;
 };
 
+/** Builds a partition host's executor over the Store it owns. */
+using ExecutorFactory =
+    std::function<std::unique_ptr<DomainExecutor>(Store &)>;
+
 /**
  * Coordinator-side proxy for one remote hardware domain. Constructing
  * one forks (or connects to) the partition host and completes the
@@ -103,14 +112,17 @@ struct RemoteOptions
  * maintains a local HwStats mirror refreshed from every SliceDone, so
  * CoSim::hwStats keeps working across the process boundary.
  */
-class RemoteHwPartition
+class RemoteHwPartition final : public DomainExecutor
 {
   public:
     /** Fork flavor: spawn a child of this process serving @p prog
-     *  over @p kind (SharedMem or Tcp). The child inherits the
-     *  elaborated program by fork — nothing is serialized. */
+     *  over @p kind (SharedMem or Tcp) with the executor
+     *  @p make_executor builds (only the handshake runs without
+     *  one). The child inherits the elaborated program by fork —
+     *  nothing is serialized. */
     RemoteHwPartition(const ElabProgram &prog, TransportKind kind,
-                      std::string domain, RemoteOptions opts = {});
+                      std::string domain, RemoteOptions opts = {},
+                      ExecutorFactory make_executor = {});
 
     /** Connect flavor: attach to an already-running
      *  cosim_partition_host at @p endpoint ("127.0.0.1:PORT" or
@@ -119,28 +131,27 @@ class RemoteHwPartition
                       const std::string &endpoint, std::string domain,
                       RemoteOptions opts = {});
 
-    ~RemoteHwPartition();
+    ~RemoteHwPartition() override;
     RemoteHwPartition(const RemoteHwPartition &) = delete;
     RemoteHwPartition &operator=(const RemoteHwPartition &) = delete;
 
-    /** Marshal and ship every staged mirror SyncRx message. */
-    void shipInputs(Store &mirror);
+    /** Marshal and ship every staged @p mirror SyncRx message. */
+    bool exchangeIn(Store &mirror) override;
 
-    struct SliceResult
-    {
-        std::uint64_t consumed = 0;  ///< cycles the child clocked
-        std::uint64_t fired = 0;     ///< rule firings this slice
-        bool active = false;  ///< still draining pipelines at budget
-    };
+    /** Run one remote slice of up to @p budget cycles. */
+    ExecStep step(std::uint64_t budget) override;
 
-    /** Run one remote slice of up to @p budget cycles; produced
-     *  SyncTx/device messages are demarshaled into @p mirror. */
-    SliceResult runSlice(Store &mirror, std::uint64_t budget);
+    /** Demarshal the last slice's SyncTx/device output into
+     *  @p mirror. */
+    bool exchangeOut(Store &mirror) override;
 
-    const HwStats &stats() const { return stats_; }
-    const std::string &domain() const { return domain_; }
+    /** False while the child's pipelines were still draining when
+     *  the last slice's budget ran out. */
+    bool idle() const override { return !active_; }
+
+    const HwStats *hwStats() const override { return &stats_; }
     /** Child pid (fork flavors); -1 for the connect flavor. */
-    pid_t childPid() const { return pid_; }
+    pid_t childPid() const override { return pid_; }
 
   private:
     void handshake(const RemoteOptions &opts);
@@ -154,19 +165,28 @@ class RemoteHwPartition
     pid_t pid_ = -1;
     bool reaped_ = false;
     HwStats stats_;
+    bool active_ = true;
+    const MirrorPrims prims_;
     std::map<int, TypePtr> payloadType_;  ///< prim id -> message type
+    /** The last slice's output, (prim id, message), until
+     *  exchangeOut. */
+    std::vector<std::pair<int, Value>> produced_;
     std::uint64_t nextFlow_ = 1;
 };
 
 /**
  * Partition-host slice server: the child/host half of the protocol.
  * Handshakes (refusing an ABI or program-signature mismatch before
- * any payload), then serves Msg/Run until Shutdown or peer death.
+ * any payload), builds its executor with @p make_executor over a
+ * Store it owns, then serves Msg/Run until Shutdown or peer death.
+ * An exception while serving is reported to the coordinator as an
+ * Error frame (the diagnostic text) instead of escaping.
  * @return process exit code (0 orderly, 2 bad handshake frame,
- * 3 refused, 4 transport corrupt).
+ * 3 refused, 4 transport corrupt, 6 exception reported).
  */
 int servePartitionSlices(RemoteLink &link, const ElabProgram &prog,
-                         int timeout_ms);
+                         int timeout_ms,
+                         const ExecutorFactory &make_executor);
 
 } // namespace bcl
 

@@ -101,14 +101,6 @@ resolvePrimMethod(const ElabPrim &prim, const std::string &meth,
 }
 
 PrimRead
-readPrim(const ElabPrim &prim, const PrimState &st,
-         const std::string &meth, const std::vector<Value> &args)
-{
-    return readPrim(prim, st, resolvePrimMethod(prim, meth, false),
-                    args);
-}
-
-PrimRead
 readPrim(const ElabPrim &prim, const PrimState &st, PrimMethodId meth,
          const std::vector<Value> &args)
 {
@@ -145,14 +137,6 @@ readPrim(const ElabPrim &prim, const PrimState &st, PrimMethodId meth,
         panic("readPrim: action method id used as value method (" +
               prim.path + ")");
     }
-}
-
-bool
-writePrim(const ElabPrim &prim, PrimState &st, const std::string &meth,
-          const std::vector<Value> &args)
-{
-    return writePrim(prim, st, resolvePrimMethod(prim, meth, true),
-                     args);
 }
 
 bool

@@ -48,8 +48,7 @@ enum class PrimMethodId : std::uint8_t
 
 /**
  * Resolve (@p prim kind, @p meth, action vs value) to its dispatch
- * id. Panics — with the same message the string-keyed entry points
- * use — when the primitive has no such method.
+ * id. Panics when the primitive has no such method.
  */
 PrimMethodId resolvePrimMethod(const ElabPrim &prim,
                                const std::string &meth, bool is_action);
@@ -62,21 +61,12 @@ PrimState initPrimState(const ElabPrim &prim);
  * Never modifies state.
  */
 PrimRead readPrim(const ElabPrim &prim, const PrimState &st,
-                  const std::string &meth,
-                  const std::vector<Value> &args);
-
-/** Pre-resolved overload (the interpreter hot path). */
-PrimRead readPrim(const ElabPrim &prim, const PrimState &st,
                   PrimMethodId meth, const std::vector<Value> &args);
 
 /**
  * Execute action method @p meth of @p prim, updating @p st in place.
  * Returns false (and leaves @p st unchanged) when the guard is down.
  */
-bool writePrim(const ElabPrim &prim, PrimState &st,
-               const std::string &meth, const std::vector<Value> &args);
-
-/** Pre-resolved overload (the interpreter hot path). */
 bool writePrim(const ElabPrim &prim, PrimState &st, PrimMethodId meth,
                const std::vector<Value> &args);
 

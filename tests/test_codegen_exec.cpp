@@ -279,7 +279,7 @@ TEST_P(CodegenExec, FullSwVorbisBitExactVsInterpreter)
 /**
  * The CoSim config switch on a finite SW->HW->SW echo workload: the
  * SW domain runs compiled (rules AND the driver-fed push method
- * through a CompiledPort), the HW domain clock-simulated, with real
+ * through its SwPort), the HW domain clock-simulated, with real
  * channel transports between them — outputs and firing counts must
  * match the interpreted run exactly.
  */

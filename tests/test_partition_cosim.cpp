@@ -1141,6 +1141,7 @@ TEST(CoSimTransport, VorbisDeterminismMatrix)
     // The per-stage split: several hardware domains, so the remote
     // flavors run multiple partition children at once.
     configs.push_back(vorbis::splitVorbisConfig());
+    serve::CompileCache cache;  // the shm x compiled-hw leg
 
     for (size_t ci = 0; ci < configs.size(); ci++) {
         vorbis::VorbisRunResult ref =
@@ -1159,7 +1160,36 @@ TEST(CoSimTransport, VorbisDeterminismMatrix)
             EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
                 << "config " << ci << " over " << transportName(kind);
         }
+        if (!CompiledHwPartition::hostCompilerAvailable())
+            continue;
+        // shm x compiled clock edge: the forked child builds its
+        // executor through the same factory, instantiating an
+        // artifact the coordinator resolved before the fork — so the
+        // provider's calls are counted in this process.
+        int provided = 0;
+        CosimConfig cfg;
+        cfg.defaultTransport = TransportKind::SharedMem;
+        cfg.transportTimeoutMs = 60000;
+        cfg.hwBackend = HwBackend::Compiled;
+        cfg.compileProvider = [&](const ElabProgram &prog,
+                                  const GenccOptions &opts) {
+            provided++;
+            return cache.get(prog, opts);
+        };
+        vorbis::VorbisRunResult r =
+            vorbis::runVorbisConfig(configs[ci], frames, &cfg);
+        EXPECT_EQ(r.pcm, ref.pcm) << "config " << ci << " shm x compiled";
+        EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
+            << "config " << ci << " shm x compiled";
+        EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
+            << "config " << ci << " shm x compiled";
+        EXPECT_GT(provided, 0)
+            << "config " << ci
+            << ": the remote child's artifact must come from "
+               "compileProvider";
     }
+    if (!CompiledHwPartition::hostCompilerAvailable())
+        GTEST_SKIP() << "no host compiler: shm x compiled-hw leg skipped";
 }
 
 TEST(CoSimTransport, RayDeterminismMatrix)

@@ -11,6 +11,11 @@
  *   - an ABI or program-signature mismatch is refused during the
  *     handshake, before any payload flows (exercised through the
  *     RemoteOptions hello overrides);
+ *   - an exception inside the partition child reaches the parent as
+ *     one FatalError carrying the child's diagnostic, not as a
+ *     transport timeout;
+ *   - a slice report shorter than its declared rule count is
+ *     rejected by name;
  *   - in the serving layer, a Session whose remote partition dies
  *     fails alone: the pool drains, healthy neighbors complete with
  *     byte-identical outputs (PR 6's error-isolation contract,
@@ -25,6 +30,7 @@
 #include <chrono>
 #include <csignal>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/types.h>
@@ -71,6 +77,53 @@ makeEchoProgram()
                                    {callV("fromHw", "first")}),
                              callA("fromHw", "deq")}));
     return ProgramBuilder().add(b.build()).setRoot("Top").build();
+}
+
+/** The echo pipeline with a lookup in hardware: the HW rule returns
+ *  mem[x] for each message x, so an address past the 16-entry Bram
+ *  panics inside whichever process runs the HW partition. */
+Program
+makeLookupProgram()
+{
+    ModuleBuilder b("Top");
+    b.addFifo("inQ", w32(), 8);
+    b.addSync("toHw", w32(), 4, "SW", "HW");
+    b.addSync("fromHw", w32(), 4, "HW", "SW");
+    b.addBram("mem", w32(), 16);
+    b.addAudioDev("out", "SW");
+    b.addActionMethod("push", {{"x", w32()}},
+                      callA("inQ", "enq", {varE("x")}), "SW");
+    b.addRule("feed", parA({callA("toHw", "enq", {callV("inQ", "first")}),
+                            callA("inQ", "deq")}));
+    b.addRule("lookup",
+              letA("a", callV("toHw", "first"),
+                   parA({callA("toHw", "deq"),
+                         callA("fromHw", "enq",
+                               {callV("mem", "read", {varE("a")})})})));
+    b.addRule("drain", parA({callA("out", "output",
+                                   {callV("fromHw", "first")}),
+                             callA("fromHw", "deq")}));
+    return ProgramBuilder().add(b.build()).setRoot("Top").build();
+}
+
+/** Attach @p inputs to the SW domain's push method, then stop. */
+void
+feedInputs(CoSim &cosim, const PartitionResult &parts,
+           std::vector<std::int64_t> inputs)
+{
+    int push = parts.part("SW").prog.rootMethod("push");
+    auto next = std::make_shared<size_t>(0);
+    SwDriver driver;
+    driver.step = [push, inputs, next](SwPort &port) -> std::uint64_t {
+        if (*next >= inputs.size() ||
+            !port.callActionMethod(
+                push, {Value::makeInt(32, inputs[*next])}))
+            return 0;
+        (*next)++;
+        return 1;
+    };
+    driver.done = [inputs, next] { return *next >= inputs.size(); };
+    cosim.setDriver("SW", driver);
 }
 
 std::vector<TransportKind>
@@ -201,6 +254,105 @@ TEST(RemoteFault, ProgramSignatureMismatchIsRefusedBeforePayload)
                 << transportName(kind) << ": " << msg;
         }
     }
+}
+
+TEST(RemoteFault, ChildExceptionIsReportedNotTimedOut)
+{
+    Program p = makeLookupProgram();
+    ElabProgram elab = elaborate(p);
+    DomainAssignment doms = inferDomains(elab);
+    PartitionResult parts = partitionProgram(elab, doms);
+
+    const int timeout_ms = 20000;
+    CosimConfig cfg;
+    cfg.defaultTransport = TransportKind::SharedMem;
+    cfg.transportTimeoutMs = timeout_ms;
+    CoSim cosim(parts, cfg);
+    feedInputs(cosim, parts, {3, 99});
+
+    const auto start = std::chrono::steady_clock::now();
+    int fatals = 0;
+    try {
+        cosim.run([](CoSim &) { return false; });
+    } catch (const FatalError &e) {
+        fatals++;
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("remote partition 'HW'"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("read address 99"), std::string::npos)
+            << "the child's own diagnostic must reach the parent: "
+            << msg;
+    }
+    EXPECT_EQ(fatals, 1);
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_LT(elapsed, timeout_ms / 2)
+        << "the child's exception must be reported, not timed out";
+}
+
+TEST(RemoteFault, TruncatedSliceReportIsRejected)
+{
+    if (!netTransportAvailable())
+        GTEST_SKIP() << "loopback TCP unavailable in this sandbox";
+    Program p = makeEchoProgram();
+    ElabProgram elab = elaborate(p);
+    DomainAssignment doms = inferDomains(elab);
+    PartitionResult parts = partitionProgram(elab, doms);
+    const ElabProgram &hw = parts.part("HW").prog;
+
+    // A fake partition host: a correct handshake, then a SliceDone
+    // that declares every rule but carries per-rule counts for none.
+    TcpListener listener;
+    ASSERT_TRUE(listener.open());
+    std::thread peer([&] {
+        int fd = listener.acceptWithin(10000);
+        if (fd < 0)
+            return;
+        FrameConn conn(fd);
+        Frame f;
+        while (conn.recv(f, 10000) == RecvStatus::Ok) {
+            Frame reply;
+            if (f.type == FrameType::Hello) {
+                const std::uint64_t sig = programSignature(hw);
+                reply.type = FrameType::HelloAck;
+                reply.payload = {
+                    static_cast<std::uint32_t>(kCppGenAbiVersion),
+                    static_cast<std::uint32_t>(sig),
+                    static_cast<std::uint32_t>(sig >> 32)};
+            } else if (f.type == FrameType::Run) {
+                // Fixed prefix of 12 words; word 11 = rule count.
+                reply.type = FrameType::SliceDone;
+                reply.payload.assign(12, 0);
+                reply.payload[11] =
+                    static_cast<std::uint32_t>(hw.rules.size());
+            } else {
+                continue;
+            }
+            conn.send(reply);
+        }
+    });
+
+    CosimConfig cfg;
+    cfg.transports["HW"] = TransportKind::Tcp;
+    cfg.remoteEndpoints["HW"] =
+        "127.0.0.1:" + std::to_string(listener.port());
+    cfg.transportTimeoutMs = 5000;
+    {
+        CoSim cosim(parts, cfg);
+        feedInputs(cosim, parts, {1, 2, 3});
+        try {
+            cosim.run([](CoSim &) { return false; });
+            ADD_FAILURE() << "a truncated slice report was accepted";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("truncated slice report"),
+                      std::string::npos)
+                << msg;
+        }
+    }  // the proxy closes the connection; the fake host returns
+    peer.join();
 }
 
 /**

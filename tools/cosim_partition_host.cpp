@@ -10,6 +10,13 @@
  * else (different partitioning, scene size, stage domains) is
  * refused before any payload flows.
  *
+ * The host always clocks the partition with the interpreted ClockSim
+ * (cycle-exact against the compiled clock edge). Forked partition
+ * children instead build whatever executor the coordinator's
+ * CosimConfig::hwBackend names; that path needs the coordinator's
+ * compiled artifact, which an independently started host does not
+ * share.
+ *
  * Run: cosim_partition_host --workload vorbis_B --domain HW
  *          [--port 0] [--once]
  *      cosim_partition_host --workload ray_split --domain HWT
@@ -23,12 +30,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "common/logging.hpp"
 #include "core/domains.hpp"
 #include "core/elaborate.hpp"
 #include "core/partition.hpp"
+#include "hwsim/clocksim.hpp"
 #include "platform/net_transport.hpp"
 #include "platform/remote_partition.hpp"
 #include "ray/partitions.hpp"
@@ -187,7 +196,10 @@ main(int argc, char **argv)
             return once ? 1 : 0;
         }
         HostLink link(fd);
-        int rc = servePartitionSlices(link, part, timeout_ms);
+        int rc = servePartitionSlices(
+            link, part, timeout_ms, [&part](Store &store) {
+                return std::make_unique<ClockSim>(part, store);
+            });
         std::printf("connection closed (rc %d)\n", rc);
         std::fflush(stdout);
         if (once)
