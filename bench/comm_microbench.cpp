@@ -23,9 +23,9 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "bench_main.hpp"
 #include "common/stats.hpp"
 #include "core/builder.hpp"
 #include "core/domains.hpp"
@@ -127,14 +127,10 @@ main(int argc, char **argv)
     // --platform FILE|PRESET swaps the primary platform model under
     // measurement; the default is the paper's ml507 calibration with
     // the pcie preset printed for comparison.
-    PlatformSpec plat = PlatformSpec::ml507();
-    bool plat_overridden = false;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--platform") == 0 && i + 1 < argc) {
-            plat = resolvePlatform(argv[++i]);
-            plat_overridden = true;
-        }
-    }
+    bench::BenchMain bench("comm_microbench", bench::kPlatform);
+    bench.parse(argc, argv);
+    const PlatformSpec &plat = bench.platform;
+    const bool plat_overridden = !bench.platformArg.empty();
 
     std::printf("== Section 7 platform characterization "
                 "(platform: %s) ==\n\n",

@@ -17,10 +17,8 @@
  * degenerates to a correctness + overhead measurement (the recorded
  * hardware_concurrency says which regime produced the numbers).
  *
- * Usage: cosim_parallel [--frames N] [--ray-size W] [--json FILE]
- *                       [--trace FILE]
- *                       [--hw-backend interpreted|compiled]
- *                       [--transport inthread|shm|tcp]
+ * Flags: the shared --frames --ray-size --ray-prims --platform
+ * --hw-backend --transport --json --trace (bench/bench_main.hpp).
  * --json emits the sweep for scripts/bench_report.py to fold into
  * BENCH_runtime.json; each workload entry carries a "metrics" object
  * (per-channel traffic of its threads=1 run under the stable
@@ -40,25 +38,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_main.hpp"
 #include "common/stats.hpp"
-#include "core/domains.hpp"
-#include "obs/trace.hpp"
-#include "platform/channel.hpp"
-#include "platform/net_transport.hpp"
-#include "platform/platform_spec.hpp"
-#include "platform/remote_partition.hpp"
-#include "ray/partitions.hpp"
-#include "serve/compile_cache.hpp"
-#include "vorbis/partitions.hpp"
+#include "obs/metrics.hpp"
 
 using namespace bcl;
+using namespace bcl::bench;
 
 namespace {
 
@@ -126,94 +115,60 @@ threadSweep(bool remote)
     return sweep;
 }
 
-/** Distinct domains of a vorbis config ("SW" + its HW domains). */
-int
-vorbisDomains(const vorbis::VorbisConfig &cfg)
-{
-    return 1 + static_cast<int>(
-                   distinctHwDomains(
-                       {cfg.imdctDom, cfg.ifftDom, cfg.winDom})
-                       .size());
-}
-
-int
-rayDomains(const ray::RayConfig &cfg)
-{
-    return 1 + static_cast<int>(
-                   distinctHwDomains(
-                       {cfg.travDom, cfg.boxDom, cfg.geomDom})
-                       .size());
-}
-
-template <typename RunFn, typename OutputOf>
 WorkloadResult
-sweepWorkload(const std::string &name, int domains,
-              const std::vector<int> &sweep, RunFn run,
-              OutputOf output_of)
+sweepWorkload(BenchMain &bench, const std::string &name,
+              const std::vector<int> &sweep)
 {
     WorkloadResult res;
     res.name = name;
-    res.domains = domains;
-    bool have_ref = false;
-    decltype(output_of(run(1))) ref{};
+    std::vector<std::uint32_t> ref;
     for (int threads : sweep) {
+        CosimConfig cfg = bench.config();
+        cfg.threads = threads;
         // Warm-up pass (allocator, code paths), then the timed pass.
-        run(threads);
+        runWorkload(name, bench.size, cfg);
         auto t0 = std::chrono::steady_clock::now();
-        auto r = run(threads);
-        auto t1 = std::chrono::steady_clock::now();
+        RunResult r = runWorkload(name, bench.size, cfg);
         RunPoint pt;
         pt.threads = threads;
-        pt.wallMs =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
+        pt.wallMs = msSince(t0);
         pt.fpgaCycles = r.fpgaCycles;
-        if (!have_ref) {
-            ref = output_of(r);
+        if (res.runs.empty()) {
+            ref = r.output;
+            res.domains = r.domains;
             res.channelStats = r.channelStats;
-            have_ref = true;
         } else {
-            pt.outputsMatch = output_of(r) == ref;
+            pt.outputsMatch = r.output == ref;
         }
         res.runs.push_back(pt);
     }
     return res;
 }
 
-void
-writeJson(const std::string &path, const std::string &hw_backend,
-          const std::string &transport,
-          const std::vector<WorkloadResult> &results)
+Json
+toJson(const WorkloadResult &w)
 {
-    std::ofstream out(path);
-    out << "{\n  \"hardware_concurrency\": "
-        << std::thread::hardware_concurrency() << ",\n"
-        << "  \"hw_backend\": \"" << hw_backend << "\",\n"
-        << "  \"transport\": \"" << transport << "\",\n"
-        << "  \"workloads\": [\n";
-    for (size_t i = 0; i < results.size(); i++) {
-        const WorkloadResult &w = results[i];
-        out << "    {\"name\": \"" << w.name
-            << "\", \"domains\": " << w.domains << ", \"runs\": [";
-        for (size_t j = 0; j < w.runs.size(); j++) {
-            const RunPoint &r = w.runs[j];
-            out << (j ? ", " : "") << "{\"threads\": " << r.threads
-                << ", \"wall_ms\": " << r.wallMs
-                << ", \"fpga_cycles\": " << r.fpgaCycles
-                << ", \"outputs_match\": "
-                << (r.outputsMatch ? "true" : "false") << "}";
-        }
-        // Per-channel traffic under the stable names, via a private
-        // registry so one workload's channels never bleed into
-        // another's snapshot.
-        obs::MetricsRegistry reg;
-        reg.enable(true);
-        for (const auto &[chan, st] : w.channelStats)
-            snapshotChannelStats(reg, "cosim.channel." + chan, st);
-        out << "], \"metrics\": " << reg.toJson()
-            << ", \"best_speedup\": " << w.bestSpeedup() << "}"
-            << (i + 1 < results.size() ? "," : "") << "\n";
+    Json runs = Json::array();
+    for (const RunPoint &r : w.runs) {
+        runs.push(Json::object()
+                      .set("threads", r.threads)
+                      .set("wall_ms", r.wallMs)
+                      .set("fpga_cycles", r.fpgaCycles)
+                      .set("outputs_match", r.outputsMatch));
     }
-    out << "  ]\n}\n";
+    // Per-channel traffic under the stable names, via a private
+    // registry so one workload's channels never bleed into another's
+    // snapshot.
+    obs::MetricsRegistry reg;
+    reg.enable(true);
+    for (const auto &[chan, st] : w.channelStats)
+        snapshotChannelStats(reg, "cosim.channel." + chan, st);
+    return Json::object()
+        .set("name", w.name)
+        .set("domains", w.domains)
+        .set("runs", std::move(runs))
+        .set("metrics", Json::raw(reg.toJson()))
+        .set("best_speedup", w.bestSpeedup());
 }
 
 } // namespace
@@ -221,135 +176,34 @@ writeJson(const std::string &path, const std::string &hw_backend,
 int
 main(int argc, char **argv)
 {
-    int frames = 16;
-    int ray_size = 10;
-    int ray_prims = 64;
-    std::string json_path;
-    std::string trace_path;
-    std::string hw_backend = "interpreted";
-    std::string transport = "inthread";
-    std::string platform_arg;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc)
-            frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--ray-size") == 0 &&
-                 i + 1 < argc)
-            ray_size = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--ray-prims") == 0 &&
-                 i + 1 < argc)
-            ray_prims = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (std::strcmp(argv[i], "--hw-backend") == 0 &&
-                 i + 1 < argc)
-            hw_backend = argv[++i];
-        else if (std::strcmp(argv[i], "--transport") == 0 &&
-                 i + 1 < argc)
-            transport = argv[++i];
-        else if (std::strcmp(argv[i], "--platform") == 0 &&
-                 i + 1 < argc)
-            platform_arg = argv[++i];
-    }
-    if (hw_backend == "compiled" &&
-        !CompiledHwPartition::hostCompilerAvailable()) {
-        std::printf("no host C++ compiler — falling back to the "
-                    "interpreted hardware backend\n");
-        hw_backend = "interpreted";
-    }
-    TransportKind tkind = parseTransportKind(transport);
-    if (tkind == TransportKind::Tcp && !netTransportAvailable()) {
-        std::printf("loopback TCP unavailable in this sandbox — "
-                    "falling back to the shm transport\n");
-        transport = "shm";
-        tkind = TransportKind::SharedMem;
-    }
-    const bool remote = tkind != TransportKind::InThread;
-
-    if (!trace_path.empty()) {
-        obs::trace().enable(true);
-        obs::metrics().enable(true);  // epoch wall-time histogram
-    }
+    BenchMain bench("cosim_parallel", kFrames | kRaySize | kRayPrims |
+                                          kPlatform | kHwBackend |
+                                          kTransport | kJson | kTrace);
+    bench.size = {.frames = 16, .side = 10, .prims = 64};
+    bench.parse(argc, argv);
+    const bool remote = bench.transportKind != TransportKind::InThread;
 
     std::printf("== Parallel co-simulation scaling sweep ==\n");
     std::printf("hardware_concurrency: %u; vorbis frames: %d; "
                 "ray: %dx%d/%d prims; hw backend: %s; transport: "
                 "%s\n\n",
-                std::thread::hardware_concurrency(), frames, ray_size,
-                ray_size, ray_prims, hw_backend.c_str(),
-                transportName(tkind));
+                std::thread::hardware_concurrency(), bench.size.frames,
+                bench.size.side, bench.size.side, bench.size.prims,
+                bench.hwBackend.c_str(), bench.transport.c_str());
 
-    // One cache serves the whole sweep: a partition's clock-edge
-    // artifact is compiled once and shared across every thread count.
-    serve::CompileCache cache;
-    // Resolve --platform once; every sweep point shares the model.
-    const PlatformSpec plat = platform_arg.empty()
-                                  ? PlatformSpec::ml507()
-                                  : resolvePlatform(platform_arg);
-    auto apply_hw = [&](CosimConfig &cfg) {
-        cfg.platform = plat;
-        cfg.defaultTransport = tkind;
-        cfg.transportTimeoutMs = 60000;
-        if (hw_backend != "compiled")
-            return;
-        cfg.hwBackend = HwBackend::Compiled;
-        cfg.compileProvider = [&cache](const ElabProgram &p,
-                                       const GenccOptions &o) {
-            return cache.get(p, o);
-        };
-    };
-
+    // Every registered partitioning. The bench's one compile cache
+    // serves the whole sweep: a partition's clock-edge artifact is
+    // compiled once and shared across every thread count.
     std::vector<WorkloadResult> results;
+    for (const NamedWorkload &nw : allWorkloads())
+        results.push_back(
+            sweepWorkload(bench, nw.name, threadSweep(remote)));
 
-    // --- Vorbis ---------------------------------------------------------
-    std::vector<std::pair<std::string, vorbis::VorbisConfig>> vcfgs;
-    for (vorbis::VorbisPartition p : vorbis::allVorbisPartitions()) {
-        vcfgs.emplace_back(
-            std::string("vorbis_") + vorbis::partitionName(p),
-            vorbis::partitionConfig(p));
-    }
-    vcfgs.emplace_back("vorbis_split", vorbis::splitVorbisConfig());
-
-    for (const auto &[name, vcfg] : vcfgs) {
-        results.push_back(sweepWorkload(
-            name, vorbisDomains(vcfg), threadSweep(remote),
-            [&](int threads) {
-                CosimConfig cfg;
-                cfg.threads = threads;
-                apply_hw(cfg);
-                return vorbis::runVorbisConfig(vcfg, frames, &cfg);
-            },
-            [](const vorbis::VorbisRunResult &r) { return r.pcm; }));
-    }
-
-    // --- Ray tracer -----------------------------------------------------
-    std::vector<std::pair<std::string, ray::RayConfig>> rcfgs;
-    for (ray::RayPartition p : ray::allRayPartitions()) {
-        rcfgs.emplace_back(
-            std::string("ray_") + ray::rayPartitionName(p),
-            ray::rayPartitionConfig(p, ray_size, ray_size));
-    }
-    rcfgs.emplace_back("ray_split",
-                       ray::splitRayConfig(ray_size, ray_size));
-
-    for (const auto &[name, rcfg] : rcfgs) {
-        results.push_back(sweepWorkload(
-            name, rayDomains(rcfg), threadSweep(remote),
-            [&](int threads) {
-                CosimConfig cfg;
-                cfg.threads = threads;
-                apply_hw(cfg);
-                return ray::runRayConfig(rcfg, ray_prims, &cfg);
-            },
-            [](const ray::RayRunResult &r) { return r.pixels; }));
-    }
-
-    // --- report ---------------------------------------------------------
     TextTable table;
     table.header({"workload", "domains", "threads", "wall ms",
                   "speedup", "outputs"});
     bool all_match = true;
+    Json workloads = Json::array();
     for (const WorkloadResult &w : results) {
         for (const RunPoint &r : w.runs) {
             all_match &= r.outputsMatch;
@@ -359,22 +213,19 @@ main(int argc, char **argv)
                        fixedDecimal(w.speedupAt(r.threads), 2),
                        r.outputsMatch ? "match" : "MISMATCH"});
         }
+        workloads.push(toJson(w));
     }
     std::printf("%s\n", table.str().c_str());
     std::printf("outputs byte-identical across all thread counts: "
                 "%s\n",
                 all_match ? "yes" : "NO — LIBDN VIOLATION");
 
-    if (!json_path.empty())
-        writeJson(json_path, hw_backend, transportName(tkind),
-                  results);
-    if (!trace_path.empty()) {
-        obs::trace().writeJson(trace_path);
-        std::printf("trace (%llu events) written to %s — load in "
-                    "Perfetto or chrome://tracing\n",
-                    static_cast<unsigned long long>(
-                        obs::trace().eventCount()),
-                    trace_path.c_str());
-    }
-    return all_match ? 0 : 1;
+    return bench.finish(
+        Json::object()
+            .set("hardware_concurrency",
+                 std::thread::hardware_concurrency())
+            .set("hw_backend", bench.hwBackend)
+            .set("transport", bench.transport)
+            .set("workloads", std::move(workloads)),
+        all_match);
 }

@@ -16,30 +16,25 @@
  * on the ml507 platform model).
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "bench_main.hpp"
 #include "common/stats.hpp"
-#include "platform/platform_spec.hpp"
 #include "ray/native.hpp"
-#include "ray/partitions.hpp"
 
 using namespace bcl;
+using namespace bcl::bench;
 using namespace bcl::ray;
 
 int
 main(int argc, char **argv)
 {
-    int size = 24, prims = 1024;
-    CosimConfig cfg;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--size") == 0 && i + 1 < argc)
-            size = std::atoi(argv[++i]);
-        if (std::strcmp(argv[i], "--prims") == 0 && i + 1 < argc)
-            prims = std::atoi(argv[++i]);
-        if (std::strcmp(argv[i], "--platform") == 0 && i + 1 < argc)
-            cfg.platform = resolvePlatform(argv[++i]);
-    }
+    BenchMain bench("fig13_raytrace", kPlatform);
+    bench.size = {.side = 24, .prims = 1024};
+    bench.option("--size", &bench.size.side);
+    bench.option("--prims", &bench.size.prims, "P");
+    bench.parse(argc, argv);
+    const int size = bench.size.side, prims = bench.size.prims;
+    const CosimConfig cfg = bench.config();
 
     std::printf("== Figure 13 (right): ray tracer partitions, %dx%d "
                 "image, %d primitives (platform: %s) ==\n\n",
@@ -56,15 +51,13 @@ main(int argc, char **argv)
                   "msgs", "HW rule fires"});
     std::uint64_t a_cycles = 0;
     bool all_match = true;
-    for (RayPartition p : allRayPartitions()) {
-        RayRunResult r = runRayPartition(p, size, size, prims, &cfg);
-        if (p == RayPartition::A)
+    for (const char *name : {"ray_A", "ray_B", "ray_C", "ray_D"}) {
+        const WorkloadPartition &p = *findWorkload(name).partition;
+        RunResult r = runWorkload(name, bench.size, cfg);
+        if (a_cycles == 0)
             a_cycles = r.fpgaCycles;
-        all_match &= r.pixels.size() == native.pixels.size();
-        for (size_t i = 0; all_match && i < native.pixels.size(); i++)
-            all_match &= r.pixels[i] == native.pixels[i];
-        table.row({rayPartitionName(p), rayPartitionDescription(p),
-                   withCommas(r.fpgaCycles),
+        all_match &= r.output == native.pixels;
+        table.row({p.name, p.description, withCommas(r.fpgaCycles),
                    fixedDecimal(static_cast<double>(r.fpgaCycles) /
                                     static_cast<double>(a_cycles),
                                 3),
@@ -76,5 +69,5 @@ main(int argc, char **argv)
                 all_match ? "yes" : "NO (ERROR)");
     std::printf("\nshape check: C < A < D < B (paper: C fastest; B and "
                 "D slower than full SW)\n");
-    return all_match ? 0 : 1;
+    return bench.finish({}, all_match);
 }

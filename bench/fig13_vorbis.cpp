@@ -16,9 +16,8 @@
  *   - F1 (SystemC) is roughly 3x slower than F; F2 (manual C++) is
  *     slightly faster than F.
  *
- * Usage: fig13_vorbis [--frames N] [--json FILE]
- *                     [--hw-backend interpreted|compiled]
- *                     [--platform FILE|PRESET]
+ * Flags: the shared --frames --json --hw-backend --platform
+ * (bench/bench_main.hpp).
  * (default 512 frames; the paper used a 10000-frame test bench -
  * pass --frames 10000 to match). --json additionally writes
  * machine-readable metrics for the full-software partition —
@@ -30,149 +29,37 @@
  * way, so the figure itself is backend-invariant).
  */
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "common/logging.hpp"
+#include "bench_main.hpp"
 #include "common/stats.hpp"
-#include "platform/platform_spec.hpp"
-#include "serve/compile_cache.hpp"
 #include "vorbis/native.hpp"
-#include "vorbis/partitions.hpp"
 #include "vorbis/sysc_backend.hpp"
 
 using namespace bcl;
+using namespace bcl::bench;
 using namespace bcl::vorbis;
-
-namespace {
-
-/** Wall-clock + modeled metrics of the full-SW partition. */
-struct FullSwTiming
-{
-    double wallNs = 0;
-    VorbisRunResult run;
-};
-
-FullSwTiming
-timeFullSw(int frames, const CosimConfig &cfg)
-{
-    // One warm-up run keeps allocator/page-fault noise out of the
-    // measured pass.
-    runVorbisPartition(VorbisPartition::F, frames > 8 ? 8 : frames,
-                       &cfg);
-    FullSwTiming t;
-    auto t0 = std::chrono::steady_clock::now();
-    t.run = runVorbisPartition(VorbisPartition::F, frames, &cfg);
-    auto t1 = std::chrono::steady_clock::now();
-    t.wallNs =
-        std::chrono::duration<double, std::nano>(t1 - t0).count();
-    return t;
-}
-
-void
-writeJson(const std::string &path, int frames,
-          const std::string &hw_backend, const FullSwTiming &t,
-          const std::vector<std::pair<std::string, VorbisRunResult>>
-              &partitions,
-          bool all_match)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot write " + path);
-    const VorbisRunResult &r = t.run;
-    double secs = t.wallNs / 1e9;
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"fig13_vorbis\",\n");
-    std::fprintf(f, "  \"frames\": %d,\n", frames);
-    std::fprintf(f, "  \"hw_backend\": \"%s\",\n",
-                 hw_backend.c_str());
-    std::fprintf(f, "  \"pcm_bit_exact\": %s,\n",
-                 all_match ? "true" : "false");
-    std::fprintf(f, "  \"full_sw\": {\n");
-    std::fprintf(f, "    \"wall_ns\": %.0f,\n", t.wallNs);
-    std::fprintf(f, "    \"wall_ns_per_frame\": %.1f,\n",
-                 t.wallNs / frames);
-    std::fprintf(f, "    \"rules_fired\": %llu,\n",
-                 (unsigned long long)r.swRulesFired);
-    std::fprintf(f, "    \"rules_attempted\": %llu,\n",
-                 (unsigned long long)r.swRulesAttempted);
-    std::fprintf(f, "    \"rules_per_sec\": %.0f,\n",
-                 static_cast<double>(r.swRulesFired) / secs);
-    std::fprintf(f, "    \"work_units\": %llu,\n",
-                 (unsigned long long)r.swWork);
-    std::fprintf(f, "    \"work_per_frame\": %.1f,\n",
-                 static_cast<double>(r.swWork) / frames);
-    std::fprintf(f, "    \"shadow_copies\": %llu,\n",
-                 (unsigned long long)r.swShadowCopies);
-    std::fprintf(f, "    \"fpga_cycles\": %llu\n",
-                 (unsigned long long)r.fpgaCycles);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"partitions\": {\n");
-    for (size_t i = 0; i < partitions.size(); i++) {
-        const auto &[name, pr] = partitions[i];
-        std::fprintf(
-            f,
-            "    \"%s\": {\"fpga_cycles\": %llu, \"messages\": "
-            "%llu}%s\n",
-            name.c_str(), (unsigned long long)pr.fpgaCycles,
-            (unsigned long long)pr.messages,
-            i + 1 < partitions.size() ? "," : "");
-    }
-    std::fprintf(f, "  }\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    int frames = 512;
-    std::string json_path;
-    std::string hw_backend = "interpreted";
-    std::string platform_arg;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc)
-            frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--hw-backend") == 0 &&
-                 i + 1 < argc)
-            hw_backend = argv[++i];
-        else if (std::strcmp(argv[i], "--platform") == 0 &&
-                 i + 1 < argc)
-            platform_arg = argv[++i];
-    }
-    if (frames <= 0)
-        frames = 512;
-    if (hw_backend == "compiled" &&
-        !CompiledHwPartition::hostCompilerAvailable()) {
-        std::printf("no host C++ compiler — falling back to the "
-                    "interpreted hardware backend\n");
-        hw_backend = "interpreted";
-    }
+    BenchMain bench("fig13_vorbis",
+                    kFrames | kJson | kHwBackend | kPlatform);
+    bench.size.frames = 512;
+    bench.parse(argc, argv);
+    if (bench.size.frames <= 0)
+        bench.size.frames = 512;
+    const int frames = bench.size.frames;
 
     std::printf("== Figure 13 (left): Ogg Vorbis partitions, %d frames "
                 "(%s hw backend) ==\n",
-                frames, hw_backend.c_str());
+                frames, bench.hwBackend.c_str());
     std::printf("(execution time in FPGA cycles at 100 MHz; PPC440 at "
                 "400 MHz)\n\n");
 
-    serve::CompileCache cache;
-    CosimConfig cfg;
-    if (!platform_arg.empty())
-        cfg.platform = resolvePlatform(platform_arg);
-    if (hw_backend == "compiled") {
-        cfg.hwBackend = HwBackend::Compiled;
-        cfg.compileProvider = [&cache](const ElabProgram &p,
-                                       const GenccOptions &o) {
-            return cache.get(p, o);
-        };
-    }
+    const CosimConfig cfg = bench.config();
     // Native/SystemC work is counted in CPU-cycle-like units already
     // (no interpreter node inflation), so their conversion is the
     // plain clock ratio.
@@ -181,6 +68,8 @@ main(int argc, char **argv)
     // Reference PCM from the hand-written baseline.
     auto inputs = makeFrames(frames);
     NativeResult native = runNativeBackend(inputs);
+    const std::vector<std::uint32_t> native_words(native.pcm.begin(),
+                                                  native.pcm.end());
 
     TextTable table;
     table.header({"impl", "hardware content", "FPGA cycles",
@@ -188,18 +77,18 @@ main(int argc, char **argv)
 
     std::uint64_t f_cycles = 0;
     bool all_match = true;
-    std::vector<std::pair<std::string, VorbisRunResult>> part_results;
-
-    for (VorbisPartition p : allVorbisPartitions()) {
-        VorbisRunResult r = runVorbisPartition(p, frames, &cfg);
-        part_results.emplace_back(partitionName(p), r);
-        if (p == VorbisPartition::F)
+    Json partitions = Json::object();
+    for (const char *name : {"vorbis_F", "vorbis_A", "vorbis_B",
+                             "vorbis_C", "vorbis_D", "vorbis_E"}) {
+        const WorkloadPartition &p = *findWorkload(name).partition;
+        RunResult r = runWorkload(name, bench.size, cfg);
+        if (f_cycles == 0)
             f_cycles = r.fpgaCycles;
-        all_match &= r.pcm.size() == native.pcm.size();
-        for (size_t i = 0; all_match && i < native.pcm.size(); i++)
-            all_match &= r.pcm[i] == native.pcm[i];
-        table.row({partitionName(p), partitionDescription(p),
-                   withCommas(r.fpgaCycles),
+        all_match &= r.output == native_words;
+        partitions.set(p.name, Json::object()
+                                   .set("fpga_cycles", r.fpgaCycles)
+                                   .set("messages", r.messages));
+        table.row({p.name, p.description, withCommas(r.fpgaCycles),
                    withCommas(r.fpgaCycles /
                               static_cast<std::uint64_t>(frames)),
                    fixedDecimal(static_cast<double>(r.fpgaCycles) /
@@ -233,17 +122,41 @@ main(int argc, char **argv)
     std::printf("PCM bit-exact across all implementations: %s\n",
                 all_match ? "yes" : "NO (ERROR)");
     std::printf("\nshape checks (paper section 7.1):\n");
-    auto cyc = [&](VorbisPartition p) {
-        return runVorbisPartition(p, frames, &cfg).fpgaCycles;
-    };
-    (void)cyc;
     std::printf("  A, C slower than F; B marginal; E fastest; "
                 "F1 ~3x F; F2 < F\n");
 
-    if (!json_path.empty()) {
-        FullSwTiming t = timeFullSw(frames, cfg);
-        writeJson(json_path, frames, hw_backend, t, part_results,
-                  all_match);
+    Json doc;
+    if (!bench.jsonPath.empty()) {
+        // Wall-clock + modeled metrics of the full-SW partition. One
+        // warm-up run keeps allocator/page-fault noise out of the
+        // measured pass.
+        runWorkload("vorbis_F", {.frames = frames > 8 ? 8 : frames},
+                    cfg);
+        auto t0 = std::chrono::steady_clock::now();
+        RunResult r = runWorkload("vorbis_F", bench.size, cfg);
+        const double wall_ns = std::round(msSince(t0) * 1e6);
+        const double secs = wall_ns / 1e9;
+        doc = Json::object()
+                  .set("bench", "fig13_vorbis")
+                  .set("frames", frames)
+                  .set("hw_backend", bench.hwBackend)
+                  .set("pcm_bit_exact", all_match)
+                  .set("full_sw",
+                       Json::object()
+                           .set("wall_ns",
+                                static_cast<std::uint64_t>(wall_ns))
+                           .set("wall_ns_per_frame", wall_ns / frames)
+                           .set("rules_fired", r.swRulesFired)
+                           .set("rules_attempted", r.swRulesAttempted)
+                           .set("rules_per_sec",
+                                static_cast<double>(r.swRulesFired) /
+                                    secs)
+                           .set("work_units", r.swWork)
+                           .set("work_per_frame",
+                                static_cast<double>(r.swWork) / frames)
+                           .set("shadow_copies", r.swShadowCopies)
+                           .set("fpga_cycles", r.fpgaCycles))
+                  .set("partitions", std::move(partitions));
     }
-    return all_match ? 0 : 1;
+    return bench.finish(std::move(doc), all_match);
 }

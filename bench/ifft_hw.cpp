@@ -15,8 +15,8 @@
  *     (the figure of merit that makes the pipelined design win).
  */
 #include <cstdio>
-#include <cstring>
 
+#include "bench_main.hpp"
 #include "common/stats.hpp"
 #include "platform/platform_spec.hpp"
 #include "core/builder.hpp"
@@ -112,11 +112,9 @@ main(int argc, char **argv)
     const int frames = 64;
     // --platform FILE|PRESET supplies the functional-unit delay
     // weights (hw_delay lines); the default is the ml507 calibration.
-    PlatformSpec plat = PlatformSpec::ml507();
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--platform") == 0 && i + 1 < argc)
-            plat = resolvePlatform(argv[++i]);
-    }
+    bench::BenchMain bench("ifft_hw", bench::kPlatform);
+    bench.parse(argc, argv);
+    const PlatformSpec &plat = bench.platform;
     std::printf("== Section 4.5: IFFT microarchitectures "
                 "(platform: %s) ==\n\n",
                 plat.name.c_str());

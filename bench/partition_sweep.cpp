@@ -19,10 +19,8 @@
  * second, reported per backend with byte-equality of outputs and
  * cycle counts verified in-process.
  *
- * Usage: partition_sweep [--frames N] [--compare-frames N]
- *                        [--ray-size W] [--ray-prims P]
- *                        [--hw-backend interpreted|compiled]
- *                        [--json FILE] [--platform FILE|PRESET]
+ * Flags: the shared --frames --ray-size --ray-prims --platform
+ * --hw-backend --json (bench/bench_main.hpp), plus --compare-frames N.
  * --frames drives the frontier sweep; --compare-frames (default 256)
  * drives the backend comparison, which needs enough simulated cycles
  * to amortize the fixed elaborate-and-partition setup each run pays.
@@ -37,21 +35,15 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_main.hpp"
 #include "common/stats.hpp"
-#include "platform/platform_spec.hpp"
-#include "ray/partitions.hpp"
-#include "serve/compile_cache.hpp"
-#include "vorbis/partitions.hpp"
 
 using namespace bcl;
-using namespace bcl::vorbis;
+using namespace bcl::bench;
 
 namespace {
 
@@ -68,6 +60,16 @@ struct BackendPoint
         return wallMs > 0 ? static_cast<double>(fpgaCycles) /
                                 (wallMs / 1000.0)
                           : 0;
+    }
+
+    Json
+    toJson() const
+    {
+        return Json::object()
+            .set("wall_ms", wallMs)
+            .set("fpga_cycles", fpgaCycles)
+            .set("hw_rule_fires", hwRuleFires)
+            .set("cycles_per_sec", cyclesPerSec());
     }
 };
 
@@ -90,183 +92,51 @@ struct BackendCompare
     }
 };
 
-/** Run @p fn once for warm-up (which also compiles into @p cache when
- *  the config asks for the compiled backend) and once timed. */
-template <typename Fn>
-auto
-timedRun(Fn fn, double &wall_ms)
+/** Run @p name once for warm-up (which also compiles into the
+ *  bench's cache when @p cfg asks for the compiled backend) and once
+ *  timed. */
+RunResult
+timedRun(const std::string &name, const WorkloadSize &size,
+         const CosimConfig &cfg, BackendPoint &pt)
 {
-    fn();
+    runWorkload(name, size, cfg);
     auto t0 = std::chrono::steady_clock::now();
-    auto r = fn();
-    auto t1 = std::chrono::steady_clock::now();
-    wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
+    RunResult r = runWorkload(name, size, cfg);
+    pt.wallMs = msSince(t0);
+    pt.fpgaCycles = r.fpgaCycles;
+    pt.hwRuleFires = r.hwRuleFires;
     return r;
 }
 
-/** Base config for the backend comparison: both runs compile the
- *  software partition (sharing @p cache) so the wall-clock delta
- *  isolates the hardware clock — on full-HW Vorbis the interpreted
- *  software driver would otherwise dominate both sides. */
-CosimConfig
-compareBase(serve::CompileCache &cache)
-{
-    CosimConfig cfg;
-    if (CompiledPartition::hostCompilerAvailable())
-        cfg.swBackend = SwBackend::Compiled;
-    cfg.compileProvider = [&cache](const ElabProgram &p,
-                                   const GenccOptions &o) {
-        return cache.get(p, o);
-    };
-    return cfg;
-}
-
+/** Both runs share one software configuration so the wall-clock
+ *  delta isolates the hardware clock: the software partition is
+ *  compiled (sharing the bench's cache) where the workload supports
+ *  it — on full-HW Vorbis the interpreted software driver would
+ *  otherwise dominate both sides; the ray driver's software side is
+ *  a few cheap register-bound rules and stays interpreted. */
 BackendCompare
-compareVorbisE(int frames, serve::CompileCache &cache)
+compareBackends(BenchMain &bench, const std::string &name,
+                const WorkloadSize &size)
 {
     BackendCompare cmp;
-    cmp.name = "vorbis_E";
-    VorbisConfig vcfg = partitionConfig(VorbisPartition::E);
-
-    CosimConfig icfg = compareBase(cache);
-    VorbisRunResult ri = timedRun(
-        [&] { return runVorbisConfig(vcfg, frames, &icfg); },
-        cmp.interp.wallMs);
-    cmp.interp.fpgaCycles = ri.fpgaCycles;
-    cmp.interp.hwRuleFires = ri.hwRuleFires;
-
-    if (!CompiledHwPartition::hostCompilerAvailable())
-        return cmp;
-    cmp.compiledAvailable = true;
-    CosimConfig ccfg = compareBase(cache);
-    ccfg.hwBackend = HwBackend::Compiled;
-    VorbisRunResult rc = timedRun(
-        [&] { return runVorbisConfig(vcfg, frames, &ccfg); },
-        cmp.comp.wallMs);
-    cmp.comp.fpgaCycles = rc.fpgaCycles;
-    cmp.comp.hwRuleFires = rc.hwRuleFires;
-    cmp.outputsMatch = rc.pcm == ri.pcm;
-    cmp.cyclesMatch = rc.fpgaCycles == ri.fpgaCycles &&
-                      rc.hwRuleFires == ri.hwRuleFires;
-    return cmp;
-}
-
-BackendCompare
-compareRayC(int size, int prims, serve::CompileCache &cache)
-{
-    BackendCompare cmp;
-    cmp.name = "ray_C";
-    ray::RayConfig rcfg =
-        ray::rayPartitionConfig(ray::RayPartition::C, size, size);
-
-    // The ray driver's software side is a few cheap rules, so the
-    // interpreted SW runtime is kept on both sides here (the ray
-    // programs are not compiled-SW capable; the hardware clock still
-    // dominates the wall-clock).
+    cmp.name = name;
     CosimConfig icfg;
-    ray::RayRunResult ri = timedRun(
-        [&] { return ray::runRayConfig(rcfg, prims, &icfg); },
-        cmp.interp.wallMs);
-    cmp.interp.fpgaCycles = ri.fpgaCycles;
-    cmp.interp.hwRuleFires = ri.hwRuleFires;
+    if (findWorkload(name).workload->compiledSw &&
+        CompiledPartition::hostCompilerAvailable())
+        icfg.swBackend = SwBackend::Compiled;
+    icfg.compileProvider = bench.provider();
+    RunResult ri = timedRun(name, size, icfg, cmp.interp);
 
     if (!CompiledHwPartition::hostCompilerAvailable())
         return cmp;
     cmp.compiledAvailable = true;
-    CosimConfig ccfg;
+    CosimConfig ccfg = icfg;
     ccfg.hwBackend = HwBackend::Compiled;
-    ccfg.compileProvider = [&cache](const ElabProgram &p,
-                                    const GenccOptions &o) {
-        return cache.get(p, o);
-    };
-    ray::RayRunResult rc = timedRun(
-        [&] { return ray::runRayConfig(rcfg, prims, &ccfg); },
-        cmp.comp.wallMs);
-    cmp.comp.fpgaCycles = rc.fpgaCycles;
-    cmp.comp.hwRuleFires = rc.hwRuleFires;
-    cmp.outputsMatch = rc.pixels == ri.pixels;
+    RunResult rc = timedRun(name, size, ccfg, cmp.comp);
+    cmp.outputsMatch = rc.output == ri.output;
     cmp.cyclesMatch = rc.fpgaCycles == ri.fpgaCycles &&
                       rc.hwRuleFires == ri.hwRuleFires;
     return cmp;
-}
-
-/** One frontier cell: a partition's cycles at one message cost. */
-struct FrontierCell
-{
-    std::string partition;
-    std::uint64_t fpgaCycles = 0;
-    std::uint64_t messages = 0;
-};
-
-struct FrontierRow
-{
-    std::uint64_t msgCost = 0;
-    std::vector<FrontierCell> cells;  // F first, then A..E
-};
-
-void
-writeJson(const std::string &path, int frames, int cmp_frames,
-          const std::string &sweep_backend,
-          const std::string &platform,
-          const std::vector<FrontierRow> &rows,
-          const std::vector<BackendCompare> &compares)
-{
-    std::ofstream out(path);
-    out << "{\n  \"bench\": \"partition_sweep\",\n"
-        << "  \"platform\": \"" << platform << "\",\n"
-        << "  \"frames\": " << frames << ",\n"
-        << "  \"compare_frames\": " << cmp_frames << ",\n"
-        << "  \"hardware_concurrency\": "
-        << std::thread::hardware_concurrency() << ",\n"
-        << "  \"sweep_hw_backend\": \"" << sweep_backend << "\",\n"
-        << "  \"frontier\": [\n";
-    for (size_t i = 0; i < rows.size(); i++) {
-        const FrontierRow &row = rows[i];
-        out << "    {\"sync_msg_cost\": " << row.msgCost
-            << ", \"partitions\": {";
-        for (size_t j = 0; j < row.cells.size(); j++) {
-            const FrontierCell &c = row.cells[j];
-            double ratio =
-                static_cast<double>(c.fpgaCycles) /
-                static_cast<double>(row.cells[0].fpgaCycles);
-            out << (j ? ", " : "") << "\"" << c.partition
-                << "\": {\"fpga_cycles\": " << c.fpgaCycles
-                << ", \"messages\": " << c.messages
-                << ", \"vs_F\": " << ratio << "}";
-        }
-        out << "}}" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n  \"hw_backend_compare\": {\n";
-    for (size_t i = 0; i < compares.size(); i++) {
-        const BackendCompare &c = compares[i];
-        out << "    \"" << c.name << "\": {\n"
-            << "      \"interpreted\": {\"wall_ms\": "
-            << c.interp.wallMs
-            << ", \"fpga_cycles\": " << c.interp.fpgaCycles
-            << ", \"hw_rule_fires\": " << c.interp.hwRuleFires
-            << ", \"cycles_per_sec\": " << c.interp.cyclesPerSec()
-            << "},\n";
-        if (c.compiledAvailable) {
-            out << "      \"compiled\": {\"wall_ms\": "
-                << c.comp.wallMs
-                << ", \"fpga_cycles\": " << c.comp.fpgaCycles
-                << ", \"hw_rule_fires\": " << c.comp.hwRuleFires
-                << ", \"cycles_per_sec\": " << c.comp.cyclesPerSec()
-                << "},\n"
-                << "      \"speedup\": " << c.speedup() << ",\n"
-                << "      \"outputs_match\": "
-                << (c.outputsMatch ? "true" : "false") << ",\n"
-                << "      \"cycles_match\": "
-                << (c.cyclesMatch ? "true" : "false") << "\n";
-        } else {
-            out << "      \"compiled\": null\n";
-        }
-        out << "    }" << (i + 1 < compares.size() ? "," : "")
-            << "\n";
-    }
-    out << "  }\n}\n";
-    std::printf("wrote %s\n", path.c_str());
 }
 
 } // namespace
@@ -274,92 +144,57 @@ writeJson(const std::string &path, int frames, int cmp_frames,
 int
 main(int argc, char **argv)
 {
-    int frames = 32;
+    BenchMain bench("partition_sweep", kFrames | kRaySize | kRayPrims |
+                                           kPlatform | kHwBackend |
+                                           kJson);
+    bench.size = {.frames = 32, .side = 12, .prims = 64};
     int cmp_frames = 256;
-    int ray_size = 12;
-    int ray_prims = 64;
-    std::string hw_backend = "interpreted";
-    std::string json_path;
-    std::string platform_arg;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc)
-            frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--compare-frames") == 0 &&
-                 i + 1 < argc)
-            cmp_frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--ray-size") == 0 &&
-                 i + 1 < argc)
-            ray_size = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--ray-prims") == 0 &&
-                 i + 1 < argc)
-            ray_prims = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--hw-backend") == 0 &&
-                 i + 1 < argc)
-            hw_backend = argv[++i];
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--platform") == 0 &&
-                 i + 1 < argc)
-            platform_arg = argv[++i];
-    }
-    if (frames <= 0)
-        frames = 32;
+    bench.option("--compare-frames", &cmp_frames);
+    bench.parse(argc, argv);
+    if (bench.size.frames <= 0)
+        bench.size.frames = 32;
     if (cmp_frames <= 0)
         cmp_frames = 256;
-
-    serve::CompileCache cache;
-    if (hw_backend == "compiled" &&
-        !CompiledHwPartition::hostCompilerAvailable()) {
-        std::printf("no host C++ compiler — frontier sweep falling "
-                    "back to the interpreted hardware backend\n");
-        hw_backend = "interpreted";
-    }
-
-    CosimConfig base;
-    if (!platform_arg.empty())
-        base.platform = resolvePlatform(platform_arg);
 
     std::printf("== Section 7.1: communication cost vs partition "
                 "choice (Vorbis, %d frames, %s hw backend, %s "
                 "platform) ==\n\n",
-                frames, hw_backend.c_str(),
-                base.platform.name.c_str());
+                bench.size.frames, bench.hwBackend.c_str(),
+                bench.platform.name.c_str());
 
-    if (hw_backend == "compiled") {
-        base.hwBackend = HwBackend::Compiled;
-        base.compileProvider = [&cache](const ElabProgram &p,
-                                        const GenccOptions &o) {
-            return cache.get(p, o);
-        };
-    }
-
-    std::vector<FrontierRow> rows;
+    // The frontier: every lettered Vorbis partition against full
+    // software (the first name) as the per-message cost grows.
+    const std::vector<std::string> frontier_names{
+        "vorbis_F", "vorbis_A", "vorbis_B",
+        "vorbis_C", "vorbis_D", "vorbis_E"};
+    Json frontier = Json::array();
     TextTable table;
     table.header({"sync msg cost (work)", "A/F", "B/F", "C/F", "D/F",
                   "E/F"});
     for (std::uint64_t msg_cost : {0ull, 700ull, 1400ull, 2800ull,
                                    5600ull}) {
-        CosimConfig cfg = base;
+        CosimConfig cfg = bench.config();
         cfg.swCosts.perSyncMessage = msg_cost;
-        FrontierRow row;
-        row.msgCost = msg_cost;
-        VorbisRunResult fr =
-            runVorbisPartition(VorbisPartition::F, frames, &cfg);
-        row.cells.push_back({"F", fr.fpgaCycles, fr.messages});
         std::vector<std::string> trow = {std::to_string(msg_cost)};
-        for (VorbisPartition p :
-             {VorbisPartition::A, VorbisPartition::B,
-              VorbisPartition::C, VorbisPartition::D,
-              VorbisPartition::E}) {
-            VorbisRunResult r = runVorbisPartition(p, frames, &cfg);
-            row.cells.push_back(
-                {partitionName(p), r.fpgaCycles, r.messages});
-            trow.push_back(fixedDecimal(
-                static_cast<double>(r.fpgaCycles) /
-                    static_cast<double>(fr.fpgaCycles),
-                3));
+        Json cells = Json::object();
+        std::uint64_t f_cycles = 0;
+        for (const std::string &name : frontier_names) {
+            RunResult r = runWorkload(name, bench.size, cfg);
+            if (f_cycles == 0)
+                f_cycles = r.fpgaCycles;
+            const double ratio = static_cast<double>(r.fpgaCycles) /
+                                 static_cast<double>(f_cycles);
+            cells.set(findWorkload(name).partition->name,
+                      Json::object()
+                          .set("fpga_cycles", r.fpgaCycles)
+                          .set("messages", r.messages)
+                          .set("vs_F", ratio));
+            if (name != frontier_names.front())
+                trow.push_back(fixedDecimal(ratio, 3));
         }
-        rows.push_back(std::move(row));
+        frontier.push(Json::object()
+                          .set("sync_msg_cost", msg_cost)
+                          .set("partitions", std::move(cells)));
         table.row(std::move(trow));
     }
     std::printf("%s\n", table.str().c_str());
@@ -371,9 +206,11 @@ main(int argc, char **argv)
                 "whole back-end's compute).\n\n");
 
     // --- hardware-backend comparison (full-HW Vorbis E + ray C) ----------
+    WorkloadSize cmp_size = bench.size;
+    cmp_size.frames = cmp_frames;
     std::vector<BackendCompare> compares;
-    compares.push_back(compareVorbisE(cmp_frames, cache));
-    compares.push_back(compareRayC(ray_size, ray_prims, cache));
+    for (const char *name : {"vorbis_E", "ray_C"})
+        compares.push_back(compareBackends(bench, name, cmp_size));
 
     std::printf("== Hardware backend: interpreted ClockSim vs "
                 "compiled clock edge ==\n\n");
@@ -381,6 +218,7 @@ main(int argc, char **argv)
     hwt.header({"workload", "backend", "wall ms", "FPGA cycles",
                 "cycles/sec", "speedup", "identical"});
     bool all_exact = true;
+    Json hw_compare = Json::object();
     for (const BackendCompare &c : compares) {
         hwt.row({c.name, "interpreted",
                  fixedDecimal(c.interp.wallMs, 2),
@@ -388,9 +226,12 @@ main(int argc, char **argv)
                  withCommas(static_cast<std::uint64_t>(
                      c.interp.cyclesPerSec())),
                  "1.00", "-"});
+        Json entry =
+            Json::object().set("interpreted", c.interp.toJson());
         if (!c.compiledAvailable) {
             hwt.row({c.name, "compiled", "(no host compiler)", "-",
                      "-", "-", "-"});
+            hw_compare.set(c.name, entry.set("compiled", Json()));
             continue;
         }
         bool exact = c.outputsMatch && c.cyclesMatch;
@@ -401,13 +242,25 @@ main(int argc, char **argv)
                      c.comp.cyclesPerSec())),
                  fixedDecimal(c.speedup(), 2),
                  exact ? "yes" : "NO — DIVERGED"});
+        hw_compare.set(c.name, entry.set("compiled", c.comp.toJson())
+                                   .set("speedup", c.speedup())
+                                   .set("outputs_match", c.outputsMatch)
+                                   .set("cycles_match", c.cyclesMatch));
     }
     std::printf("%s\n", hwt.str().c_str());
     std::printf("identical = outputs, cycle counts and per-domain "
                 "firing totals byte-equal across backends\n");
 
-    if (!json_path.empty())
-        writeJson(json_path, frames, cmp_frames, hw_backend,
-                  base.platform.name, rows, compares);
-    return all_exact ? 0 : 1;
+    return bench.finish(
+        Json::object()
+            .set("bench", "partition_sweep")
+            .set("platform", bench.platform.name)
+            .set("frames", bench.size.frames)
+            .set("compare_frames", cmp_frames)
+            .set("hardware_concurrency",
+                 std::thread::hardware_concurrency())
+            .set("sweep_hw_backend", bench.hwBackend)
+            .set("frontier", std::move(frontier))
+            .set("hw_backend_compare", std::move(hw_compare)),
+        all_exact);
 }

@@ -18,38 +18,34 @@
  * — and reports per-link occupancy to show the per-pair resolution
  * actually changes where cycles are charged.
  *
- * Usage: platform_sweep [--frames N] [--ray-size N] [--ray-prims N]
- *                       [--configs DIR] [--json FILE]
+ * Flags: the shared --frames --ray-size --ray-prims --json
+ * (bench/bench_main.hpp), plus --configs DIR.
  * --configs points at the directory holding the scenario .config
  * files (default "configs", i.e. run from the repo root;
  * scripts/bench_report.py passes the absolute path).
  */
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "platform/platform_spec.hpp"
-#include "ray/partitions.hpp"
-#include "vorbis/partitions.hpp"
+#include "bench_main.hpp"
 
 using namespace bcl;
-using namespace bcl::vorbis;
+using namespace bcl::bench;
 
 namespace {
+
+/** The workloads every scenario re-times; the heterogeneous leg
+ *  re-times the first. */
+const std::vector<std::string> kWorkloads{"vorbis_split", "ray_split"};
 
 /** One workload timed under one platform. */
 struct WorkloadPoint
 {
-    std::uint64_t fpgaCycles = 0;
-    std::uint64_t messages = 0;
-    std::uint64_t channelWords = 0;
+    RunResult run;
     double wallMs = 0;
     bool outputsMatch = true;
-    std::vector<CoSim::LinkUsage> links;
 };
 
 struct Scenario
@@ -57,95 +53,61 @@ struct Scenario
     std::string name;
     std::string source; ///< "preset" or the loaded config path
     PlatformSpec spec;
-    WorkloadPoint vorbis, ray;
+    std::vector<WorkloadPoint> points;  ///< parallel to kWorkloads
 };
 
-double
-msSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
+/** Run @p name under @p plat; @p baseline (null for the baseline run
+ *  itself) holds the outputs it must reproduce. */
 WorkloadPoint
-runVorbisUnder(const PlatformSpec &plat, int frames,
-               const std::vector<std::int32_t> *baseline_pcm,
-               std::vector<std::int32_t> *pcm_out = nullptr)
+runUnder(const std::string &name, const PlatformSpec &plat,
+         const WorkloadSize &size, const WorkloadPoint *baseline)
 {
     CosimConfig cfg;
     cfg.platform = plat;
     auto t0 = std::chrono::steady_clock::now();
-    VorbisRunResult r = runVorbisConfig(splitVorbisConfig(), frames,
-                                        &cfg);
     WorkloadPoint p;
+    p.run = runWorkload(name, size, cfg);
     p.wallMs = msSince(t0);
-    p.fpgaCycles = r.fpgaCycles;
-    p.messages = r.messages;
-    p.channelWords = r.channelWords;
-    p.links = r.linkUsage;
-    if (baseline_pcm)
-        p.outputsMatch = r.pcm == *baseline_pcm;
-    if (pcm_out)
-        *pcm_out = r.pcm;
+    if (baseline)
+        p.outputsMatch = p.run.output == baseline->run.output;
     return p;
 }
 
-WorkloadPoint
-runRayUnder(const PlatformSpec &plat, int size, int prims,
-            const std::vector<std::uint32_t> *baseline_px,
-            std::vector<std::uint32_t> *px_out = nullptr)
+Json
+linksJson(const std::vector<CoSim::LinkUsage> &ls)
 {
-    CosimConfig cfg;
-    cfg.platform = plat;
-    auto t0 = std::chrono::steady_clock::now();
-    ray::RayRunResult r = ray::runRayConfig(
-        ray::splitRayConfig(size, size), prims, &cfg);
-    WorkloadPoint p;
-    p.wallMs = msSince(t0);
-    p.fpgaCycles = r.fpgaCycles;
-    p.messages = r.messages;
-    p.channelWords = r.channelWords;
-    p.links = r.linkUsage;
-    if (baseline_px)
-        p.outputsMatch = r.pixels == *baseline_px;
-    if (px_out)
-        *px_out = r.pixels;
-    return p;
-}
-
-void
-writeLinks(std::ofstream &out, const std::vector<CoSim::LinkUsage> &ls,
-           const char *indent)
-{
-    out << "[\n";
-    for (size_t i = 0; i < ls.size(); i++) {
-        const CoSim::LinkUsage &l = ls[i];
-        out << indent << "  {\"from\": \"" << l.from << "\", \"to\": \""
-            << l.to << "\", \"class\": \"" << l.linkClass
-            << "\", \"busy_cycles\": " << l.busyCycles
-            << ", \"grants\": " << l.grants << "}"
-            << (i + 1 < ls.size() ? "," : "") << "\n";
+    Json out = Json::array();
+    for (const CoSim::LinkUsage &l : ls) {
+        out.push(Json::object()
+                     .set("from", l.from)
+                     .set("to", l.to)
+                     .set("class", l.linkClass)
+                     .set("busy_cycles", l.busyCycles)
+                     .set("grants", l.grants));
     }
-    out << indent << "]";
+    return out;
 }
 
-void
-writePoint(std::ofstream &out, const WorkloadPoint &p,
-           const WorkloadPoint &base)
+double
+cycleRatio(const WorkloadPoint &p, const WorkloadPoint &base)
 {
-    double ratio = base.fpgaCycles
-                       ? static_cast<double>(p.fpgaCycles) /
-                             static_cast<double>(base.fpgaCycles)
-                       : 0;
-    out << "{\"fpga_cycles\": " << p.fpgaCycles
-        << ", \"messages\": " << p.messages
-        << ", \"channel_words\": " << p.channelWords
-        << ", \"wall_ms\": " << p.wallMs
-        << ", \"outputs_match\": "
-        << (p.outputsMatch ? "true" : "false")
-        << ", \"vs_baseline\": {\"fpga_cycles_ratio\": " << ratio
-        << "}}";
+    return base.run.fpgaCycles
+               ? static_cast<double>(p.run.fpgaCycles) /
+                     static_cast<double>(base.run.fpgaCycles)
+               : 0;
+}
+
+Json
+pointJson(const WorkloadPoint &p, const WorkloadPoint &base)
+{
+    return Json::object()
+        .set("fpga_cycles", p.run.fpgaCycles)
+        .set("messages", p.run.messages)
+        .set("channel_words", p.run.channelWords)
+        .set("wall_ms", p.wallMs)
+        .set("outputs_match", p.outputsMatch)
+        .set("vs_baseline", Json::object().set("fpga_cycles_ratio",
+                                               cycleRatio(p, base)));
 }
 
 } // namespace
@@ -153,32 +115,15 @@ writePoint(std::ofstream &out, const WorkloadPoint &p,
 int
 main(int argc, char **argv)
 {
-    int frames = 16;
-    int ray_size = 10;
-    int ray_prims = 64;
+    BenchMain bench("platform_sweep",
+                    kFrames | kRaySize | kRayPrims | kJson);
+    bench.size = {.frames = 16, .side = 10, .prims = 64};
     std::string configs_dir = "configs";
-    std::string json_path;
-    for (int i = 1; i < argc; i++) {
-        if (!strcmp(argv[i], "--frames") && i + 1 < argc)
-            frames = atoi(argv[++i]);
-        else if (!strcmp(argv[i], "--ray-size") && i + 1 < argc)
-            ray_size = atoi(argv[++i]);
-        else if (!strcmp(argv[i], "--ray-prims") && i + 1 < argc)
-            ray_prims = atoi(argv[++i]);
-        else if (!strcmp(argv[i], "--configs") && i + 1 < argc)
-            configs_dir = argv[++i];
-        else if (!strcmp(argv[i], "--json") && i + 1 < argc)
-            json_path = argv[++i];
-    }
+    bench.option("--configs", &configs_dir, "DIR");
+    bench.parse(argc, argv);
 
     std::vector<Scenario> scenarios;
-    {
-        Scenario base;
-        base.name = "ml507";
-        base.source = "preset";
-        base.spec = PlatformSpec::ml507();
-        scenarios.push_back(std::move(base));
-    }
+    scenarios.push_back({"ml507", "preset", PlatformSpec::ml507(), {}});
     for (const char *file :
          {"fast_fabric.config", "slow_bus.config", "noc_mesh.config"}) {
         Scenario s;
@@ -188,112 +133,101 @@ main(int argc, char **argv)
         scenarios.push_back(std::move(s));
     }
 
-    printf("platform scenario sweep: vorbis split (%d frames), "
-           "ray split (%dx%d, %d prims)\n",
-           frames, ray_size, ray_size, ray_prims);
-    printf("%-14s %14s %10s %12s %9s  %s\n", "scenario",
-           "vorbis_cycles", "vs_base", "ray_cycles", "vs_base",
-           "outputs");
+    std::printf("platform scenario sweep: vorbis split (%d frames), "
+                "ray split (%dx%d, %d prims)\n",
+                bench.size.frames, bench.size.side, bench.size.side,
+                bench.size.prims);
+    std::printf("%-14s", "scenario");
+    for (const std::string &name : kWorkloads)
+        std::printf(" %14s %9s", (name + "_cycles").c_str(), "vs_base");
+    std::printf("  outputs\n");
 
-    std::vector<std::int32_t> base_pcm;
-    std::vector<std::uint32_t> base_px;
     bool all_match = true;
-    for (size_t i = 0; i < scenarios.size(); i++) {
-        Scenario &s = scenarios[i];
-        if (i == 0) {
-            s.vorbis = runVorbisUnder(s.spec, frames, nullptr,
-                                      &base_pcm);
-            s.ray = runRayUnder(s.spec, ray_size, ray_prims, nullptr,
-                                &base_px);
-        } else {
-            s.vorbis = runVorbisUnder(s.spec, frames, &base_pcm);
-            s.ray = runRayUnder(s.spec, ray_size, ray_prims, &base_px);
+    Json json_scenarios = Json::array();
+    for (Scenario &s : scenarios) {
+        const Scenario &base = scenarios.front();
+        bool match = true;
+        std::printf("%-14s", s.name.c_str());
+        Json js = Json::object().set("name", s.name).set("source",
+                                                         s.source);
+        for (size_t w = 0; w < kWorkloads.size(); w++) {
+            s.points.push_back(runUnder(
+                kWorkloads[w], s.spec, bench.size,
+                &s == &base ? nullptr : &base.points[w]));
+            const WorkloadPoint &p = s.points.back();
+            match &= p.outputsMatch;
+            std::printf(" %14llu %8.3fx",
+                        (unsigned long long)p.run.fpgaCycles,
+                        cycleRatio(p, base.points[w]));
+            js.set(findWorkload(kWorkloads[w]).workload->name,
+                   pointJson(p, base.points[w]));
         }
-        bool match = s.vorbis.outputsMatch && s.ray.outputsMatch;
-        all_match = all_match && match;
-        printf("%-14s %14llu %9.3fx %12llu %8.3fx  %s\n",
-               s.name.c_str(),
-               (unsigned long long)s.vorbis.fpgaCycles,
-               (double)s.vorbis.fpgaCycles /
-                   (double)scenarios[0].vorbis.fpgaCycles,
-               (unsigned long long)s.ray.fpgaCycles,
-               (double)s.ray.fpgaCycles /
-                   (double)scenarios[0].ray.fpgaCycles,
-               match ? "match" : "MISMATCH");
+        all_match &= match;
+        std::printf("  %s\n", match ? "match" : "MISMATCH");
+        json_scenarios.push(std::move(js));
     }
 
     // Heterogeneous topology leg: same workload, but the platform's
     // topology section charges SW<->HW crossings to a slow off-chip
     // class while HW<->HW stays on-chip. Outputs must still match;
     // the per-link accounting must differ from the uniform baseline.
-    std::string het_path = configs_dir + "/het_onchip_offchip.config";
-    PlatformSpec het = loadPlatformSpec(het_path);
-    WorkloadPoint het_pt = runVorbisUnder(het, frames, &base_pcm);
-    all_match = all_match && het_pt.outputsMatch;
+    const std::string het_path =
+        configs_dir + "/het_onchip_offchip.config";
+    const PlatformSpec het = loadPlatformSpec(het_path);
+    const WorkloadPoint &het_base = scenarios.front().points.front();
+    const WorkloadPoint het_pt =
+        runUnder(kWorkloads.front(), het, bench.size, &het_base);
+    all_match &= het_pt.outputsMatch;
     bool occupancy_differs = false;
-    {
-        const std::vector<CoSim::LinkUsage> &base_links =
-            scenarios[0].vorbis.links;
-        for (const CoSim::LinkUsage &l : het_pt.links) {
-            for (const CoSim::LinkUsage &b : base_links)
-                if (b.from == l.from && b.to == l.to &&
-                    (b.linkClass != l.linkClass ||
-                     b.busyCycles != l.busyCycles))
-                    occupancy_differs = true;
-        }
+    for (const CoSim::LinkUsage &l : het_pt.run.linkUsage) {
+        for (const CoSim::LinkUsage &b : het_base.run.linkUsage)
+            if (b.from == l.from && b.to == l.to &&
+                (b.linkClass != l.linkClass ||
+                 b.busyCycles != l.busyCycles))
+                occupancy_differs = true;
     }
-    printf("heterogeneous (%s): vorbis %llu cycles, outputs %s, "
-           "per-link occupancy %s baseline\n",
-           het.name.c_str(), (unsigned long long)het_pt.fpgaCycles,
-           het_pt.outputsMatch ? "match" : "MISMATCH",
-           occupancy_differs ? "differs from" : "IDENTICAL to");
-    for (const CoSim::LinkUsage &l : het_pt.links)
-        printf("  link %s->%s [%s]: busy %llu cycles over %llu "
-               "grants\n",
-               l.from.c_str(), l.to.c_str(), l.linkClass.c_str(),
-               (unsigned long long)l.busyCycles,
-               (unsigned long long)l.grants);
+    const std::string het_workload =
+        findWorkload(kWorkloads.front()).workload->name;
+    std::printf("heterogeneous (%s): %s %llu cycles, outputs %s, "
+                "per-link occupancy %s baseline\n",
+                het.name.c_str(), het_workload.c_str(),
+                (unsigned long long)het_pt.run.fpgaCycles,
+                het_pt.outputsMatch ? "match" : "MISMATCH",
+                occupancy_differs ? "differs from" : "IDENTICAL to");
+    for (const CoSim::LinkUsage &l : het_pt.run.linkUsage)
+        std::printf("  link %s->%s [%s]: busy %llu cycles over %llu "
+                    "grants\n",
+                    l.from.c_str(), l.to.c_str(), l.linkClass.c_str(),
+                    (unsigned long long)l.busyCycles,
+                    (unsigned long long)l.grants);
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        out << "{\n  \"bench\": \"platform_sweep\",\n"
-            << "  \"frames\": " << frames << ",\n"
-            << "  \"ray_size\": " << ray_size << ",\n"
-            << "  \"ray_prims\": " << ray_prims << ",\n"
-            << "  \"scenarios\": [\n";
-        for (size_t i = 0; i < scenarios.size(); i++) {
-            const Scenario &s = scenarios[i];
-            out << "    {\"name\": \"" << s.name << "\", \"source\": \""
-                << s.source << "\",\n      \"vorbis\": ";
-            writePoint(out, s.vorbis, scenarios[0].vorbis);
-            out << ",\n      \"ray\": ";
-            writePoint(out, s.ray, scenarios[0].ray);
-            out << "}" << (i + 1 < scenarios.size() ? "," : "")
-                << "\n";
-        }
-        out << "  ],\n  \"heterogeneous\": {\n    \"config\": \""
-            << het_path << "\",\n    \"platform\": \"" << het.name
-            << "\",\n    \"vorbis\": ";
-        writePoint(out, het_pt, scenarios[0].vorbis);
-        out << ",\n    \"links\": ";
-        writeLinks(out, het_pt.links, "    ");
-        out << ",\n    \"baseline_links\": ";
-        writeLinks(out, scenarios[0].vorbis.links, "    ");
-        out << ",\n    \"occupancy_differs\": "
-            << (occupancy_differs ? "true" : "false")
-            << "\n  }\n}\n";
-        printf("wrote %s\n", json_path.c_str());
-    }
-
-    if (!all_match) {
-        fprintf(stderr, "FAIL: a scenario changed workload outputs — "
-                        "link timing must be semantics-preserving\n");
-        return 1;
+    const int rc = bench.finish(
+        Json::object()
+            .set("bench", "platform_sweep")
+            .set("frames", bench.size.frames)
+            .set("ray_size", bench.size.side)
+            .set("ray_prims", bench.size.prims)
+            .set("scenarios", std::move(json_scenarios))
+            .set("heterogeneous",
+                 Json::object()
+                     .set("config", het_path)
+                     .set("platform", het.name)
+                     .set(het_workload, pointJson(het_pt, het_base))
+                     .set("links", linksJson(het_pt.run.linkUsage))
+                     .set("baseline_links",
+                          linksJson(het_base.run.linkUsage))
+                     .set("occupancy_differs", occupancy_differs)),
+        all_match);
+    if (rc != 0) {
+        std::fprintf(stderr,
+                     "FAIL: a scenario changed workload outputs — "
+                     "link timing must be semantics-preserving\n");
+        return rc;
     }
     if (!occupancy_differs) {
-        fprintf(stderr,
-                "FAIL: heterogeneous topology did not change per-link "
-                "occupancy accounting\n");
+        std::fprintf(stderr,
+                     "FAIL: heterogeneous topology did not change "
+                     "per-link occupancy accounting\n");
         return 1;
     }
     return 0;

@@ -10,19 +10,24 @@
  *      threshold, a full SW implementation might be faster" - the
  *      A-vs-C crossover as the scene shrinks (communication per ray
  *      is constant, compute per ray shrinks with log n).
+ *
+ * Takes no flags.
  */
 #include <cstdio>
 
+#include "bench_main.hpp"
 #include "common/stats.hpp"
 #include "ray/native.hpp"
-#include "ray/partitions.hpp"
 
 using namespace bcl;
+using namespace bcl::bench;
 using namespace bcl::ray;
 
 int
-main()
+main(int argc, char **argv)
 {
+    BenchMain bench("raytrace_scaling", 0);
+    bench.parse(argc, argv);
     std::printf("== Section 7.2 scaling ==\n\n");
 
     // --- log(n) vs n geometry tests -------------------------------------
@@ -62,10 +67,9 @@ main()
         table.header({"primitives", "A (full SW) cycles",
                       "C (HW engine) cycles", "C/A"});
         for (int prims : {16, 64, 256, 1024}) {
-            RayRunResult a =
-                runRayPartition(RayPartition::A, 12, 12, prims);
-            RayRunResult c =
-                runRayPartition(RayPartition::C, 12, 12, prims);
+            const WorkloadSize size{.side = 12, .prims = prims};
+            RunResult a = runWorkload("ray_A", size);
+            RunResult c = runWorkload("ray_C", size);
             table.row({std::to_string(prims), withCommas(a.fpgaCycles),
                        withCommas(c.fpgaCycles),
                        fixedDecimal(static_cast<double>(c.fpgaCycles) /

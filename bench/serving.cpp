@@ -6,7 +6,7 @@
  * over ONE shared partitioning and ONE compiled artifact from the
  * CompileCache. Reports streams/sec and p50/p99 frame latency per
  * point, and verifies a sample of streams byte-for-byte against
- * their solo serial runs (runVorbisConfig with the same seed) — the
+ * their solo serial runs (runWorkload with the same seed) — the
  * LIBDN §4.4 argument, scaled out: concurrency must be functionally
  * invisible per stream.
  *
@@ -20,12 +20,13 @@
  * read the recorded hardware_concurrency/workers (same caveat as
  * cosim_parallel; see docs/EXPERIMENTS.md).
  *
- * Usage: serving [--sessions 100,1000,10000] [--frames N]
- *                [--workers W] [--backend compiled|interpreted]
- *                [--hw-backend interpreted|compiled]
- *                [--verify M] [--json FILE] [--trace FILE]
- *                [--partition F|A|B|C|D|E]
- *                [--transport inthread|shm|tcp]
+ * Flags: the shared --frames --platform --hw-backend --transport
+ * --json --trace (bench/bench_main.hpp), plus
+ *   --sessions N,N,...  concurrent-session counts (100,1000,10000)
+ *   --workers W         pool width (default hardware_concurrency)
+ *   --verify M          streams spot-checked per point (default 16)
+ *   --backend compiled|interpreted   software runtime
+ *   --partition F|A|B|C|D|E|split    Vorbis partition served
  * --transport moves each session's hardware domains into forked
  * partition children (shm rings or framed loopback TCP) — the
  * distributed serving shape, one child per hardware domain per live
@@ -55,21 +56,18 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_main.hpp"
 #include "common/stats.hpp"
+#include "common/strutil.hpp"
 #include "obs/trace.hpp"
-#include "platform/net_transport.hpp"
-#include "platform/remote_partition.hpp"
 #include "serve/pool.hpp"
-#include "vorbis/partitions.hpp"
 
 using namespace bcl;
+using namespace bcl::bench;
 using namespace bcl::serve;
 
 namespace {
@@ -86,133 +84,61 @@ struct Point
     bool outputsMatch = true;
 };
 
-std::vector<int>
-parseSessionList(const char *arg)
-{
-    std::vector<int> out;
-    std::string s(arg);
-    size_t pos = 0;
-    while (pos < s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        out.push_back(std::atoi(s.substr(pos, comma - pos).c_str()));
-        pos = comma + 1;
-    }
-    return out;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<int> sweeps{100, 1000, 10000};
-    int frames = 4;
+    BenchMain bench("serving", kFrames | kPlatform | kHwBackend |
+                                   kTransport | kJson | kTrace);
+    bench.size.frames = 4;
+    std::string sessions_arg = "100,1000,10000";
     int workers = 0;  // hardware_concurrency
     int verify = 16;
     std::string backend = "compiled";
-    std::string hw_backend = "interpreted";
-    std::string json_path;
-    std::string trace_path;
     std::string partition;
-    std::string transport = "inthread";
-    std::string platform_arg;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc)
-            sweeps = parseSessionList(argv[++i]);
-        else if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc)
-            frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc)
-            workers = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--verify") == 0 && i + 1 < argc)
-            verify = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc)
-            backend = argv[++i];
-        else if (std::strcmp(argv[i], "--hw-backend") == 0 &&
-                 i + 1 < argc)
-            hw_backend = argv[++i];
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (std::strcmp(argv[i], "--partition") == 0 &&
-                 i + 1 < argc)
-            partition = argv[++i];
-        else if (std::strcmp(argv[i], "--transport") == 0 &&
-                 i + 1 < argc)
-            transport = argv[++i];
-        else if (std::strcmp(argv[i], "--platform") == 0 &&
-                 i + 1 < argc)
-            platform_arg = argv[++i];
-    }
+    bench.option("--sessions", &sessions_arg, "N,N,...");
+    bench.option("--workers", &workers);
+    bench.option("--verify", &verify);
+    bench.option("--backend", &backend, "compiled|interpreted");
+    bench.option("--partition", &partition, "F|A|B|C|D|E|split");
+    bench.parse(argc, argv);
+    std::vector<int> sweeps;
+    for (const std::string &n : splitString(sessions_arg, ','))
+        sweeps.push_back(bench.number("--sessions", n));
+    const int frames = bench.size.frames;
 
     // The frame-latency percentiles come from the registry histogram,
-    // so metrics are always on here; the trace recorder only when a
-    // timeline was asked for.
+    // so metrics are always on here.
     obs::metrics().enable(true);
-    if (!trace_path.empty())
-        obs::trace().enable(true);
-
-    SwBackend sw_backend = SwBackend::Compiled;
-    if (backend == "interpreted") {
-        sw_backend = SwBackend::Interpreted;
-    } else if (!CompiledPartition::hostCompilerAvailable()) {
-        std::printf("no host C++ compiler — falling back to the "
-                    "interpreted backend\n");
-        backend = "interpreted";
-        sw_backend = SwBackend::Interpreted;
-    }
-    // Only matters with --partition != F; the compile routes through
-    // the manager's CompileCache so every session shares one
-    // clock-edge artifact per hardware domain.
-    if (hw_backend == "compiled" &&
-        !CompiledHwPartition::hostCompilerAvailable()) {
-        std::printf("no host C++ compiler — falling back to the "
-                    "interpreted hardware backend\n");
-        hw_backend = "interpreted";
-    }
-
-    TransportKind tkind = parseTransportKind(transport);
-    if (tkind == TransportKind::Tcp && !netTransportAvailable()) {
-        std::printf("loopback TCP unavailable in this sandbox — "
-                    "falling back to the shm transport\n");
-        transport = "shm";
-        tkind = TransportKind::SharedMem;
-    }
+    if (backend != "interpreted")
+        backend = "compiled";
+    compilerFallback(backend, "software");
+    const SwBackend sw_backend = backend == "compiled"
+                                     ? SwBackend::Compiled
+                                     : SwBackend::Interpreted;
 
     // F (full software) is the serving shape; --trace (and a remote
     // transport, which needs hardware domains to move out of
     // process) default to B so there is channel traffic to show.
     if (partition.empty())
-        partition = (trace_path.empty() &&
-                     tkind == TransportKind::InThread)
+        partition = (bench.tracePath.empty() &&
+                     bench.transportKind == TransportKind::InThread)
                         ? "F"
                         : "B";
-    vorbis::VorbisPartition part = vorbis::VorbisPartition::F;
-    switch (partition[0]) {
-      case 'F': part = vorbis::VorbisPartition::F; break;
-      case 'A': part = vorbis::VorbisPartition::A; break;
-      case 'B': part = vorbis::VorbisPartition::B; break;
-      case 'C': part = vorbis::VorbisPartition::C; break;
-      case 'D': part = vorbis::VorbisPartition::D; break;
-      case 'E': part = vorbis::VorbisPartition::E; break;
-      default:
-        std::fprintf(stderr, "unknown partition '%s'\n",
-                     partition.c_str());
-        return 2;
-    }
-    const vorbis::VorbisConfig vcfg = vorbis::partitionConfig(part);
-    vorbis::VorbisServeSetup setup =
-        vorbis::makeVorbisServeSetup(vcfg);
+    const NamedWorkload &served = findWorkload("vorbis_" + partition);
+    const Workload &w = *served.workload;
+    const PartitionResult parts = partitionWorkload(
+        w, served.partition->domains, bench.size, w.defaultSeed);
 
     std::printf("== Serving-layer sweep: concurrent Vorbis streams "
                 "==\n");
-    std::printf("partition: %c; backend: %s; hw backend: %s; "
+    std::printf("partition: %s; backend: %s; hw backend: %s; "
                 "transport: %s; frames/stream: %d; workers: %d "
                 "(hc=%u)\n\n",
-                vorbis::partitionName(part)[0], backend.c_str(),
-                hw_backend.c_str(), transportName(tkind), frames,
+                partition.c_str(), backend.c_str(),
+                bench.hwBackend.c_str(), bench.transport.c_str(),
+                frames,
                 workers ? workers
                         : static_cast<int>(
                               std::thread::hardware_concurrency()),
@@ -227,29 +153,29 @@ main(int argc, char **argv)
         // Keep only the last point's timeline: all pool/session
         // threads from the previous point are joined here, so the
         // recorder is quiescent and clear() is safe.
-        if (!trace_path.empty())
+        if (!bench.tracePath.empty())
             obs::trace().clear();
 
         SessionManagerOptions mopts;
         mopts.workers = workers;
-        mopts.platform = platform_arg;
+        mopts.platform = bench.platformArg;
         SessionManager mgr(mopts);
         effective_workers = mgr.pool().workers();
         obs::Histogram &frame_hist =
             obs::metrics().histogram("serve.session.frame_ms");
         frame_hist.reset();
 
-        CosimConfig cfg;
+        // Only matters with a partition other than F; the compile
+        // routes through the manager's CompileCache so every session
+        // shares one clock-edge artifact per hardware domain.
+        CosimConfig cfg = bench.config();
         cfg.swBackend = sw_backend;
-        cfg.defaultTransport = tkind;
-        cfg.transportTimeoutMs = 60000;
-        if (hw_backend == "compiled") {
-            cfg.hwBackend = HwBackend::Compiled;
-            cfg.compileProvider = [&mgr](const ElabProgram &p,
-                                         const GenccOptions &o) {
-                return mgr.cache().get(p, o);
-            };
-        }
+        auto provider = [&mgr](const ElabProgram &p,
+                               const GenccOptions &o) {
+            return mgr.cache().get(p, o);
+        };
+        if (bench.hwBackend == "compiled")
+            cfg.compileProvider = provider;
 
         // Resolve the shared artifact once, outside the timed
         // region: the one-time compile is the cost the serving layer
@@ -261,42 +187,29 @@ main(int argc, char **argv)
         if (sw_backend == SwBackend::Compiled) {
             GenccOptions gopts;
             gopts.mode = cfg.swGenMode;
-            cfg.swArtifact = mgr.cache().get(
-                setup.parts.part("SW").prog, gopts);
+            cfg.swArtifact =
+                mgr.cache().get(parts.part("SW").prog, gopts);
         }
         auto t_build1 = std::chrono::steady_clock::now();
 
         std::vector<std::shared_ptr<Session>> sessions;
         sessions.reserve(static_cast<size_t>(n));
-        auto makeSession = [&](int i) {
-            auto state = vorbis::makeVorbisStreamState(
-                frames, 1000 + static_cast<std::uint64_t>(i));
-            StreamSpec spec;
-            spec.driver = vorbis::makeVorbisStreamDriver(
-                state, setup.pushMethod);
-            int audio = setup.audioPrim;
-            spec.progress = [audio](CoSim &cs) {
-                return static_cast<std::uint64_t>(
-                    cs.storeOf("SW").at(audio).queue.size());
-            };
-            spec.target = static_cast<std::uint64_t>(frames);
-            return mgr.createSession(setup.parts, cfg,
-                                     std::move(spec));
-        };
-        for (int i = 0; i < n; i++)
-            sessions.push_back(makeSession(i));
+        for (int i = 0; i < n; i++) {
+            sessions.push_back(mgr.createSession(
+                parts, cfg,
+                w.stream(parts, bench.size,
+                         1000 + static_cast<std::uint64_t>(i))));
+        }
         auto t_build2 = std::chrono::steady_clock::now();
 
         auto t0 = std::chrono::steady_clock::now();
         for (auto &s : sessions)
             mgr.start(s);
         mgr.drain();
-        auto t1 = std::chrono::steady_clock::now();
 
         Point pt;
         pt.sessions = n;
-        pt.wallMs =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
+        pt.wallMs = msSince(t0);
         pt.streamsPerSec =
             static_cast<double>(n) / (pt.wallMs / 1000.0);
         pt.framesPerSec = pt.streamsPerSec * frames;
@@ -304,7 +217,7 @@ main(int argc, char **argv)
         pt.frameP99Ms = frame_hist.percentile(0.99);
 
         // Spot-verify against solo serial runs (independent oracle:
-        // runVorbisConfig builds its own program and cosim).
+        // runWorkload builds its own program and cosim).
         int m = std::min(verify, n);
         pt.verified = m;
         for (int i = 0; i < m; i++) {
@@ -315,25 +228,20 @@ main(int argc, char **argv)
                                 (m - 1))
                           : 0;
             auto &s = sessions[static_cast<size_t>(idx)];
-            std::vector<std::int32_t> got =
-                vorbis::extractPcm(s->cosim(), setup.audioPrim);
             CosimConfig scfg;
             scfg.swBackend = sw_backend;
-            if (hw_backend == "compiled")
+            if (bench.hwBackend == "compiled")
                 scfg.hwBackend = HwBackend::Compiled;
             // The oracle builds its own program and cosim and runs
             // serially; routing its compile through the same cache
             // only shares the binary (its independently generated
             // source hashes to the same key — itself a property worth
             // exercising) and keeps verification O(ms) per stream.
-            scfg.compileProvider = [&](const ElabProgram &p,
-                                       const GenccOptions &o) {
-                return mgr.cache().get(p, o);
-            };
-            vorbis::VorbisRunResult ref = vorbis::runVorbisConfig(
-                vcfg, frames, &scfg,
-                1000 + static_cast<std::uint64_t>(idx));
-            if (got != ref.pcm)
+            scfg.compileProvider = provider;
+            RunResult ref =
+                runWorkload(served.name, bench.size, scfg,
+                            1000 + static_cast<std::uint64_t>(idx));
+            if (w.output(s->cosim(), parts) != ref.output)
                 pt.outputsMatch = false;
         }
         all_match &= pt.outputsMatch;
@@ -363,6 +271,7 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"sessions", "wall ms", "streams/s", "frames/s",
                   "p50 ms", "p99 ms", "verified", "outputs"});
+    Json json_points = Json::array();
     for (const Point &pt : points) {
         table.row({std::to_string(pt.sessions),
                    fixedDecimal(pt.wallMs, 1),
@@ -372,55 +281,43 @@ main(int argc, char **argv)
                    fixedDecimal(pt.frameP99Ms, 2),
                    std::to_string(pt.verified),
                    pt.outputsMatch ? "match" : "MISMATCH"});
+        json_points.push(Json::object()
+                             .set("sessions", pt.sessions)
+                             .set("wall_ms", pt.wallMs)
+                             .set("streams_per_sec", pt.streamsPerSec)
+                             .set("frames_per_sec", pt.framesPerSec)
+                             .set("frame_ms_p50", pt.frameP50Ms)
+                             .set("frame_ms_p99", pt.frameP99Ms)
+                             .set("verified_sessions", pt.verified)
+                             .set("outputs_match", pt.outputsMatch));
     }
     std::printf("\n%s\n", table.str().c_str());
     std::printf("sampled streams byte-identical to solo serial runs: "
                 "%s\n",
                 all_match ? "yes" : "NO — LIBDN VIOLATION");
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        out << "{\n  \"backend\": \"" << backend << "\",\n"
-            << "  \"hw_backend\": \"" << hw_backend << "\",\n"
-            << "  \"transport\": \"" << transportName(tkind)
-            << "\",\n"
-            << "  \"partition\": \""
-            << vorbis::partitionName(part) << "\",\n"
-            << "  \"workers\": " << effective_workers << ",\n"
-            << "  \"hardware_concurrency\": "
-            << std::thread::hardware_concurrency() << ",\n"
-            << "  \"frames_per_session\": " << frames << ",\n"
-            << "  \"compile_cache\": {\"compiles\": "
-            << cacheStats.compiles << ", \"hits\": " << cacheStats.hits
-            << ", \"disk_hits\": " << cacheStats.diskHits
-            << ", \"corrupt_fallbacks\": "
-            << cacheStats.corruptFallbacks << ", \"hit_ratio\": "
-            << obs::metrics().gauge("serve.cache.hit_ratio").value()
-            << "},\n"
-            << "  \"metrics\": " << obs::metrics().toJson() << ",\n"
-            << "  \"points\": [\n";
-        for (size_t i = 0; i < points.size(); i++) {
-            const Point &pt = points[i];
-            out << "    {\"sessions\": " << pt.sessions
-                << ", \"wall_ms\": " << pt.wallMs
-                << ", \"streams_per_sec\": " << pt.streamsPerSec
-                << ", \"frames_per_sec\": " << pt.framesPerSec
-                << ", \"frame_ms_p50\": " << pt.frameP50Ms
-                << ", \"frame_ms_p99\": " << pt.frameP99Ms
-                << ", \"verified_sessions\": " << pt.verified
-                << ", \"outputs_match\": "
-                << (pt.outputsMatch ? "true" : "false") << "}"
-                << (i + 1 < points.size() ? "," : "") << "\n";
-        }
-        out << "  ]\n}\n";
-    }
-    if (!trace_path.empty()) {
-        obs::trace().writeJson(trace_path);
-        std::printf("trace (last sweep point, %llu events) written "
-                    "to %s — load in Perfetto or chrome://tracing\n",
-                    static_cast<unsigned long long>(
-                        obs::trace().eventCount()),
-                    trace_path.c_str());
-    }
-    return all_match ? 0 : 1;
+    return bench.finish(
+        Json::object()
+            .set("backend", backend)
+            .set("hw_backend", bench.hwBackend)
+            .set("transport", bench.transport)
+            .set("partition", partition)
+            .set("workers", effective_workers)
+            .set("hardware_concurrency",
+                 std::thread::hardware_concurrency())
+            .set("frames_per_session", frames)
+            .set("compile_cache",
+                 Json::object()
+                     .set("compiles", cacheStats.compiles)
+                     .set("hits", cacheStats.hits)
+                     .set("disk_hits", cacheStats.diskHits)
+                     .set("corrupt_fallbacks",
+                          cacheStats.corruptFallbacks)
+                     .set("hit_ratio",
+                          obs::metrics()
+                              .gauge("serve.cache.hit_ratio")
+                              .value()))
+            .set("metrics", Json::raw(obs::metrics().toJson()))
+            .set("points", std::move(json_points)),
+        all_match);
 }

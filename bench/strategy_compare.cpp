@@ -19,16 +19,15 @@
  * narrative predicts: naive < inlined < lifted, interpreter far
  * below all three).
  *
- * Usage: strategy_compare [--frames N] [--json FILE]
- * --json feeds scripts/bench_report.py -> BENCH_runtime.json.
+ * Flags: the shared --frames --json (bench/bench_main.hpp); --json
+ * feeds scripts/bench_report.py -> BENCH_runtime.json.
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/logging.hpp"
+#include "bench_main.hpp"
 #include "common/stats.hpp"
 #include "core/domains.hpp"
 #include "core/elaborate.hpp"
@@ -40,6 +39,7 @@
 #include "vorbis/partitions.hpp"
 
 using namespace bcl;
+using namespace bcl::bench;
 using namespace bcl::vorbis;
 
 namespace {
@@ -149,52 +149,15 @@ runCompiled(const ElabProgram &sw, int push, int audio,
     return res;
 }
 
-void
-writeJson(const std::string &path, int frames,
-          const std::vector<StrategyResult> &results, bool bit_exact)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot write " + path);
-    double interp_rps = results[0].rulesPerSec();
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"strategy_compare\",\n");
-    std::fprintf(f, "  \"frames\": %d,\n", frames);
-    std::fprintf(f, "  \"pcm_bit_exact\": %s,\n",
-                 bit_exact ? "true" : "false");
-    std::fprintf(f, "  \"strategies\": {\n");
-    for (size_t i = 0; i < results.size(); i++) {
-        const StrategyResult &r = results[i];
-        std::fprintf(f,
-                     "    \"%s\": {\"wall_ns_per_frame\": %.1f, "
-                     "\"rules_fired\": %llu, \"rules_per_sec\": %.0f, "
-                     "\"speedup_vs_interp\": %.2f}%s\n",
-                     r.name.c_str(), r.wallNs / frames,
-                     (unsigned long long)r.rulesFired, r.rulesPerSec(),
-                     interp_rps > 0 ? r.rulesPerSec() / interp_rps : 0,
-                     i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  }\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    int frames = 128;
-    std::string json_path;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc)
-            frames = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
-    if (frames <= 0)
-        frames = 128;
+    BenchMain bench("strategy_compare", kFrames | kJson);
+    bench.size.frames = 128;
+    bench.parse(argc, argv);
+    const int frames = bench.size.frames > 0 ? bench.size.frames : 128;
 
     if (!CompiledPartition::hostCompilerAvailable()) {
         std::printf("strategy_compare: no host C++ compiler — compiled "
@@ -268,7 +231,21 @@ main(int argc, char **argv)
                     lifted_speedup);
     }
 
-    if (!json_path.empty())
-        writeJson(json_path, frames, results, bit_exact);
-    return bit_exact && fast_enough ? 0 : 1;
+    Json strategies = Json::object();
+    for (const StrategyResult &r : results) {
+        strategies.set(
+            r.name,
+            Json::object()
+                .set("wall_ns_per_frame", r.wallNs / frames)
+                .set("rules_fired", r.rulesFired)
+                .set("rules_per_sec", r.rulesPerSec())
+                .set("speedup_vs_interp",
+                     r.rulesPerSec() / results[0].rulesPerSec()));
+    }
+    return bench.finish(Json::object()
+                            .set("bench", "strategy_compare")
+                            .set("frames", frames)
+                            .set("pcm_bit_exact", bit_exact)
+                            .set("strategies", std::move(strategies)),
+                        bit_exact && fast_enough);
 }

@@ -4,15 +4,16 @@
  * back-end end to end under co-simulation, verify the PCM against
  * the hand-written baseline, and report the time split.
  *
- * Run: ./example_vorbis_decode [partition letter F|A|B|C|D|E]
+ * Run: ./example_vorbis_decode [partition F|A|B|C|D|E|split]
  *      [frames]
  */
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <cstring>
 
 #include "vorbis/native.hpp"
-#include "vorbis/partitions.hpp"
+#include "workloads/workload.hpp"
 
 using namespace bcl;
 using namespace bcl::vorbis;
@@ -20,26 +21,25 @@ using namespace bcl::vorbis;
 int
 main(int argc, char **argv)
 {
-    VorbisPartition part = VorbisPartition::D;
+    std::string part = "D";
     int frames = 64;
-    if (argc > 1) {
-        for (VorbisPartition p : allVorbisPartitions()) {
-            if (partitionName(p)[0] == argv[1][0])
-                part = p;
-        }
-    }
+    if (argc > 1)
+        part = argv[1];
     if (argc > 2)
         frames = std::atoi(argv[2]);
 
+    const NamedWorkload &nw = findWorkload("vorbis_" + part);
     std::printf("decoding %d frames under partition %s (%s)\n", frames,
-                partitionName(part), partitionDescription(part));
+                nw.partition->name.c_str(),
+                nw.partition->description.c_str());
 
-    VorbisRunResult r = runVorbisPartition(part, frames);
+    RunResult r = runWorkload(nw.name, {.frames = frames});
     NativeResult native = runNativeBackend(makeFrames(frames));
 
-    bool match = r.pcm == native.pcm;
+    bool match = r.output == std::vector<std::uint32_t>(
+                                 native.pcm.begin(), native.pcm.end());
     std::printf("PCM samples: %zu, bit-exact vs hand-written C++: %s\n",
-                r.pcm.size(), match ? "yes" : "NO");
+                r.output.size(), match ? "yes" : "NO");
     std::printf("time: %llu FPGA cycles (%.1f cycles/frame)\n",
                 static_cast<unsigned long long>(r.fpgaCycles),
                 static_cast<double>(r.fpgaCycles) / frames);
@@ -51,8 +51,10 @@ main(int argc, char **argv)
 
     // First few samples, as a decoded waveform teaser.
     std::printf("first samples (Q8.24):");
-    for (size_t i = 0; i < 8 && i < r.pcm.size(); i++)
-        std::printf(" %.5f", Fix32(r.pcm[i]).toDouble());
+    for (size_t i = 0; i < 8 && i < r.output.size(); i++)
+        std::printf(" %.5f",
+                    Fix32(static_cast<std::int32_t>(r.output[i]))
+                        .toDouble());
     std::printf("\n");
     return match ? 0 : 1;
 }

@@ -2,50 +2,44 @@
 """Assemble BENCH_runtime.json, the repo's performance-trajectory
 artifact (see docs/EXPERIMENTS.md).
 
-Runs the built benchmarks and merges their machine-readable output:
+Runs the built benchmarks listed in SECTIONS and merges their
+machine-readable output, one report section per row:
 
-  - fig13_vorbis --json: wall-clock ns/frame, modeled work units and
-    rules fired/sec for the full-software Vorbis partition (the
-    headline software-runtime throughput number),
-  - strategy_compare --json: the section 6.3 compiled-execution cost
-    ladder (interpreter vs generated Naive/Inlined/Lifted C++, all
-    bit-exact), skipped when no host compiler is available,
-  - cosim_parallel --json: parallel co-simulation scaling — wall-clock
-    and speedup per thread count over every Vorbis/ray partitioning
-    including the >=3-domain per-stage splits, with the host's
-    hardware_concurrency recorded so single-core runs read as the
-    overhead measurements they are,
-  - partition_sweep --json: the section 7.1 communication-cost
-    frontier (FPGA-cycle ratio of every Vorbis partition vs full
-    software as the per-message driver cost grows) plus the
-    hardware-backend comparison — interpreted ClockSim vs the compiled
-    clock edge on the full-HW Vorbis (E) and ray (C) partitions, with
-    simulated-FPGA-cycles/sec per backend and in-process verification
-    that outputs, cycle counts and firing totals are byte-identical
-    (surfaced as the top-level "hw_backend" section),
-  - sw_runtime_opts (Google Benchmark, optional): scheduling/lifting/
-    sequentialization ablations with wall-clock per run,
-  - the "transports" section: cosim_parallel and serving re-run once
-    per channel transport (in-thread, forked shm rings, framed
-    loopback TCP) at small sizes, recording per-transport throughput
-    and frame latency — the relay cost of distributing LIBDN
-    partitions across processes. TCP silently degrades to shm when
-    the sandbox forbids loopback sockets (the recorded "effective"
-    field says what actually ran).
+  - fig13_vorbis: wall-clock ns/frame, modeled work units and rules
+    fired/sec for the full-software Vorbis partition,
+  - strategy_compare: the section 6.3 compiled-execution cost ladder
+    (skipped when no host compiler is available),
+  - cosim_parallel: parallel co-simulation scaling over every
+    registered workload partition, with the host's
+    hardware_concurrency recorded,
+  - serving: streams/sec and p50/p99 frame latency per concurrent
+    session count, streams spot-verified against solo runs,
+  - partition_sweep: the section 7.1 communication-cost frontier, plus
+    the interpreted-vs-compiled hardware clock comparison promoted to
+    the top-level "hw_backend" section,
+  - platform_scenarios: the split workloads re-timed under each
+    configs/ platform model plus the heterogeneous-topology leg,
+  - transports: cosim_parallel and serving re-run per channel
+    transport (in-thread, forked shm rings, loopback TCP) at small
+    sizes — the relay cost of distributing LIBDN partitions,
+  - sw_runtime_opts (Google Benchmark, optional): runtime ablations.
 
-The assembled report also carries a top-level "metrics_snapshot"
-section: the src/obs/ typed-registry dumps from the serving sweep
-(pool/cache/session metrics) and the per-channel traffic of each
-cosim_parallel workload, under the stable metric names documented in
-docs/ARCHITECTURE.md ("Observability").
+The report also carries "metrics_snapshot" (the src/obs/ registry
+dumps of the serving sweep and each cosim_parallel workload's channel
+traffic) and "host" (git sha, build type, cores, cpu).
+
+Gating: a bench that exits nonzero fails the report (exit 1, after
+writing whatever was collected) — a LIBDN violation (outputs that
+differ) in any bench is a correctness bug, never a section to omit.
+The only omitted sections are explicit skips: a bench that is not
+built, or one that wrote no output because no host compiler exists.
 
 Usage:
   scripts/bench_report.py --build-dir build [--out BENCH_runtime.json]
                           [--frames 128]
 
 Only the Python standard library is used. The script is wired to the
-`bench-report` CMake target; CI runs it non-gating and uploads the
-artifact so the trajectory accumulates per commit.
+`bench-report` CMake target.
 """
 
 import argparse
@@ -55,352 +49,117 @@ import subprocess
 import sys
 import tempfile
 
+# Benches run from the repo root, so recorded config paths are
+# relative to it.
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-def run_fig13(build_dir, frames):
-    exe = os.path.join(build_dir, "fig13_vorbis")
+
+class Skipped(Exception):
+    """A bench that is not built or produced nothing on this host."""
+
+
+def run_bench(build_dir, bench, args, failures):
+    """Run one bench with --json (or Google Benchmark's --benchmark_out)
+    and return its parsed output. A nonzero exit is recorded in
+    @failures; the output it wrote is still returned."""
+    exe = os.path.join(os.path.abspath(build_dir), bench)
     if not os.path.exists(exe):
-        sys.exit(f"error: {exe} not built (run `cmake --build {build_dir}`)")
+        raise Skipped(f"{bench} not built")
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        tmp_path = tmp.name
+        path = tmp.name
+    gbench = bench == "sw_runtime_opts"
+    out_args = ([f"--benchmark_out={path}", "--benchmark_out_format=json"]
+                if gbench else ["--json", path])
     try:
-        subprocess.run(
-            [exe, "--frames", str(frames), "--json", tmp_path],
-            check=True,
-            stdout=subprocess.DEVNULL,
-        )
-        with open(tmp_path) as f:
+        rc = subprocess.run([exe, *map(str, args), *out_args], cwd=REPO,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL if gbench else None
+                            ).returncode
+        if rc != 0:
+            failures.append(f"{bench} {' '.join(map(str, args))} "
+                            f"exited {rc}")
+        if os.path.getsize(path) == 0:
+            if rc != 0:
+                return None
+            raise Skipped(f"{bench} wrote no output (no host compiler)")
+        with open(path) as f:
             return json.load(f)
     finally:
-        os.unlink(tmp_path)
+        os.unlink(path)
 
 
-def run_strategy_compare(build_dir, frames):
-    """Compiled-execution ladder; absent when the benchmark is not
-    built or no host compiler exists on the machine."""
-    exe = os.path.join(build_dir, "strategy_compare")
-    if not os.path.exists(exe):
-        return None
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        tmp_path = tmp.name
-    try:
-        try:
-            subprocess.run(
-                [exe, "--frames", str(frames), "--json", tmp_path],
-                check=True,
-                stdout=subprocess.DEVNULL,
-            )
-        except subprocess.CalledProcessError as err:
-            print(f"warning: {exe} failed ({err}); omitting ladder",
-                  file=sys.stderr)
-            return None
-        if os.path.getsize(tmp_path) == 0:
-            # The bench exits 0 without writing JSON when no host
-            # compiler is available.
-            return None
-        with open(tmp_path) as f:
-            return json.load(f)
-    finally:
-        os.unlink(tmp_path)
+def threads1_runs(raw, transport):
+    runs = {w["name"]: {"wall_ms": r["wall_ms"],
+                        "outputs_match": r["outputs_match"]}
+            for w in raw.get("workloads", [])
+            for r in w.get("runs", []) if r["threads"] == 1}
+    return {"effective": raw.get("transport", transport),
+            "workloads": runs}
 
 
-def run_cosim_parallel(build_dir, frames):
-    """Parallel co-simulation scaling sweep (thread counts over every
-    Vorbis/ray partitioning incl. the >=3-domain splits). Speedups
-    are physical: on a single-core runner they sit near 1x — read
-    them against the recorded hardware_concurrency."""
-    exe = os.path.join(build_dir, "cosim_parallel")
-    if not os.path.exists(exe):
-        return None
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        tmp_path = tmp.name
-    try:
-        try:
-            subprocess.run(
-                [exe, "--frames", str(frames), "--json", tmp_path],
-                check=True,
-                stdout=subprocess.DEVNULL,
-            )
-        except subprocess.CalledProcessError as err:
-            print(f"warning: {exe} failed ({err}); omitting scaling",
-                  file=sys.stderr)
-            return None
-        with open(tmp_path) as f:
-            return json.load(f)
-    finally:
-        os.unlink(tmp_path)
+def first_point(raw, transport):
+    pt = raw["points"][0] if raw.get("points") else {}
+    return {"effective": raw.get("transport", transport),
+            **{k: pt.get(k) for k in ("streams_per_sec", "frame_ms_p50",
+                                      "frame_ms_p99", "outputs_match")}}
 
 
-def run_serving(build_dir, sessions, frames):
-    """Serving-layer sweep: streams/sec and p50/p99 frame latency at
-    each concurrent-session count (default 100/1k/10k), all streams
-    spot-verified byte-identical to their solo serial runs. On a
-    single-core runner streams/sec is per-stream cost + scheduling
-    overhead, not parallel scaling — read it against the recorded
-    workers/hardware_concurrency."""
-    exe = os.path.join(build_dir, "serving")
-    if not os.path.exists(exe):
-        return None
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        tmp_path = tmp.name
-    try:
-        try:
-            subprocess.run(
-                [
-                    exe,
-                    "--sessions", sessions,
-                    "--frames", str(frames),
-                    "--json", tmp_path,
-                ],
-                check=True,
-                stdout=subprocess.DEVNULL,
-            )
-        except subprocess.CalledProcessError as err:
-            print(f"warning: {exe} failed ({err}); omitting serving",
-                  file=sys.stderr)
-            return None
-        with open(tmp_path) as f:
-            return json.load(f)
-    finally:
-        os.unlink(tmp_path)
+def ablations(raw):
+    to_ms = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+    return {b["name"]: {
+        "real_time_ms": round(b.get("real_time", 0.0)
+                              * to_ms.get(b.get("time_unit", "ns"), 1e-6),
+                              6),
+        "counters": {k: round(v, 3) for k, v in b.items()
+                     if isinstance(v, float)
+                     and k not in ("real_time", "cpu_time")},
+    } for b in raw.get("benchmarks", [])}
 
 
-def run_partition_sweep(build_dir, frames):
-    """Section 7.1 communication-cost frontier + the hardware-backend
-    comparison (interpreted ClockSim vs compiled clock edge, verified
-    byte-identical in-process). The comparison needs enough simulated
-    cycles to amortize per-run setup, so it keeps the bench's own
-    --compare-frames default rather than inheriting --frames."""
-    exe = os.path.join(build_dir, "partition_sweep")
-    if not os.path.exists(exe):
-        return None
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        tmp_path = tmp.name
-    try:
-        try:
-            subprocess.run(
-                [exe, "--frames", str(frames), "--json", tmp_path],
-                check=True,
-                stdout=subprocess.DEVNULL,
-            )
-        except subprocess.CalledProcessError as err:
-            print(f"warning: {exe} failed ({err}); omitting sweep",
-                  file=sys.stderr)
-            return None
-        with open(tmp_path) as f:
-            return json.load(f)
-    finally:
-        os.unlink(tmp_path)
+def sections(args):
+    """(report path, bench, bench args, shape of the section)."""
+    f = args.frames
+    rows = [
+        (("fig13_vorbis",), "fig13_vorbis", ["--frames", f], None),
+        (("strategy_compare",), "strategy_compare", ["--frames", f], None),
+        (("cosim_parallel",), "cosim_parallel",
+         ["--frames", min(f, 16)], None),
+        (("serving",), "serving",
+         ["--sessions", args.serving_sessions,
+          "--frames", args.serving_frames], None),
+        (("partition_sweep",), "partition_sweep",
+         ["--frames", min(f, 32)], None),
+        (("platform_scenarios",), "platform_sweep",
+         ["--frames", min(f, 16), "--configs", "configs"], None),
+    ]
+    # Small sizes: remote transports fork one child per hardware
+    # domain (per live session, for serving) — relay cost, not scale.
+    for t in ("inthread", "shm", "tcp"):
+        rows.append((("transports", t, "cosim"), "cosim_parallel",
+                     ["--frames", 4, "--ray-size", 6, "--ray-prims", 32,
+                      "--transport", t],
+                     lambda raw, t=t: threads1_runs(raw, t)))
+        rows.append((("transports", t, "serving"), "serving",
+                     ["--sessions", 8, "--frames", 2, "--workers", 2,
+                      "--partition", "B", "--backend", "interpreted",
+                      "--verify", 4, "--transport", t],
+                     lambda raw, t=t: first_point(raw, t)))
+    rows.append((("sw_runtime_opts",), "sw_runtime_opts",
+                 ["--benchmark_min_time=0.05"], ablations))
+    return rows
 
 
-def run_platform_sweep(build_dir, frames):
-    """Platform scenario sweep: the split Vorbis and ray workloads
-    re-timed under each configs/*.config platform model, plus the
-    heterogeneous-topology occupancy leg. Unlike the other sections
-    this one is gating: the LIBDN synchronizers promise that link
-    timing never changes outputs, so any outputs_match=false in the
-    sweep is a correctness bug and main() exits nonzero on it."""
-    exe = os.path.join(build_dir, "platform_sweep")
-    if not os.path.exists(exe):
-        return None
-    configs = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "configs")
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        tmp_path = tmp.name
-    try:
-        try:
-            subprocess.run(
-                [exe, "--frames", str(frames), "--configs", configs,
-                 "--json", tmp_path],
-                check=True,
-                stdout=subprocess.DEVNULL,
-            )
-        except subprocess.CalledProcessError as err:
-            print(f"warning: {exe} failed ({err}); omitting "
-                  "platform sweep", file=sys.stderr)
-            return None
-        with open(tmp_path) as f:
-            return json.load(f)
-    finally:
-        os.unlink(tmp_path)
-
-
-def platform_mismatches(sweep):
-    """Names of sweep entries whose outputs diverged from the ml507
-    baseline (must be empty — see run_platform_sweep)."""
-    if sweep is None:
-        return []
-    bad = []
-    for s in sweep.get("scenarios", []):
-        for wl in ("vorbis", "ray"):
-            if not s.get(wl, {}).get("outputs_match", True):
-                bad.append(f"{s['name']}/{wl}")
-    het = sweep.get("heterogeneous", {})
-    if not het.get("vorbis", {}).get("outputs_match", True):
-        bad.append(f"{het.get('platform', 'heterogeneous')}/vorbis")
-    return bad
-
-
-def run_transports(build_dir):
-    """Per-transport relay-cost comparison: cosim_parallel (threads=1
-    wall-clock per workload) and the serving sweep (streams/sec and
-    frame latency), each re-run over the in-thread, shared-memory and
-    loopback-TCP transports at deliberately small sizes — remote
-    transports fork one child per hardware domain (per live session,
-    for serving), so this measures relay overhead, not scale."""
-    cosim_exe = os.path.join(build_dir, "cosim_parallel")
-    serving_exe = os.path.join(build_dir, "serving")
-    if not os.path.exists(cosim_exe) and not os.path.exists(serving_exe):
-        return None
-
-    def one_cosim(transport):
-        with tempfile.NamedTemporaryFile(suffix=".json",
-                                         delete=False) as tmp:
-            tmp_path = tmp.name
-        try:
-            subprocess.run(
-                [
-                    cosim_exe,
-                    "--frames", "4",
-                    "--ray-size", "6",
-                    "--ray-prims", "32",
-                    "--transport", transport,
-                    "--json", tmp_path,
-                ],
-                check=True,
-                stdout=subprocess.DEVNULL,
-            )
-            with open(tmp_path) as f:
-                raw = json.load(f)
-            runs = {}
-            for w in raw.get("workloads", []):
-                for r in w.get("runs", []):
-                    if r["threads"] == 1:
-                        runs[w["name"]] = {
-                            "wall_ms": r["wall_ms"],
-                            "outputs_match": r["outputs_match"],
-                        }
-            return {"effective": raw.get("transport", transport),
-                    "workloads": runs}
-        finally:
-            os.unlink(tmp_path)
-
-    def one_serving(transport):
-        with tempfile.NamedTemporaryFile(suffix=".json",
-                                         delete=False) as tmp:
-            tmp_path = tmp.name
-        try:
-            subprocess.run(
-                [
-                    serving_exe,
-                    "--sessions", "8",
-                    "--frames", "2",
-                    "--workers", "2",
-                    "--partition", "B",
-                    "--backend", "interpreted",
-                    "--verify", "4",
-                    "--transport", transport,
-                    "--json", tmp_path,
-                ],
-                check=True,
-                stdout=subprocess.DEVNULL,
-            )
-            with open(tmp_path) as f:
-                raw = json.load(f)
-            pt = raw["points"][0] if raw.get("points") else {}
-            return {
-                "effective": raw.get("transport", transport),
-                "streams_per_sec": pt.get("streams_per_sec"),
-                "frame_ms_p50": pt.get("frame_ms_p50"),
-                "frame_ms_p99": pt.get("frame_ms_p99"),
-                "outputs_match": pt.get("outputs_match"),
-            }
-        finally:
-            os.unlink(tmp_path)
-
-    section = {}
-    for transport in ("inthread", "shm", "tcp"):
-        entry = {}
-        try:
-            if os.path.exists(cosim_exe):
-                entry["cosim"] = one_cosim(transport)
-            if os.path.exists(serving_exe):
-                entry["serving"] = one_serving(transport)
-        except subprocess.CalledProcessError as err:
-            print(
-                f"warning: transport '{transport}' bench failed "
-                f"({err}); omitting it",
-                file=sys.stderr,
-            )
-            continue
-        if entry:
-            section[transport] = entry
-    return section or None
-
-
-def run_sw_runtime_opts(build_dir):
-    """Optional ablation benchmarks; absent when Google Benchmark is
-    not installed."""
-    exe = os.path.join(build_dir, "sw_runtime_opts")
-    if not os.path.exists(exe):
-        return None
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        tmp_path = tmp.name
-    try:
-        try:
-            subprocess.run(
-                [
-                    exe,
-                    f"--benchmark_out={tmp_path}",
-                    "--benchmark_out_format=json",
-                    "--benchmark_min_time=0.05",
-                ],
-                check=True,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
-        except subprocess.CalledProcessError as err:
-            # Ablations are additive context; never gate the report.
-            print(f"warning: {exe} failed ({err}); omitting ablations",
-                  file=sys.stderr)
-            return None
-        with open(tmp_path) as f:
-            raw = json.load(f)
-        to_ms = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-        out = {}
-        for b in raw.get("benchmarks", []):
-            scale = to_ms.get(b.get("time_unit", "ns"), 1e-6)
-            out[b["name"]] = {
-                "real_time_ms": round(b.get("real_time", 0.0) * scale, 6),
-                "counters": {
-                    k: round(v, 3)
-                    for k, v in b.items()
-                    if isinstance(v, float)
-                    and k not in ("real_time", "cpu_time")
-                },
-            }
-        return out
-    finally:
-        os.unlink(tmp_path)
-
-
-def metrics_snapshot(serving, scaling):
-    """Fold the benches' typed-registry snapshots (src/obs/, stable
-    names documented in ARCHITECTURE.md "Observability") into one
-    top-level section, so a reader of BENCH_runtime.json gets the
-    serving pool/cache/session counters and the per-channel cosim
-    traffic without digging through each bench's native layout."""
-    snap = {}
-    if serving is not None and "metrics" in serving:
-        snap["serving"] = serving["metrics"]
-    if scaling is not None:
-        chans = {
-            w["name"]: w["metrics"]
-            for w in scaling.get("workloads", [])
-            if w.get("metrics")
-        }
-        if chans:
-            snap["cosim_channels"] = chans
-    return snap
+def outputs_mismatches(node, path=""):
+    """Every outputs_match that is false, by JSON path."""
+    if isinstance(node, dict):
+        bad = [path] if node.get("outputs_match") is False else []
+        for k, v in node.items():
+            bad += outputs_mismatches(v, f"{path}/{k}")
+        return bad
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node)
+                for p in outputs_mismatches(v, f"{path}[{i}]")]
+    return []
 
 
 def main():
@@ -408,147 +167,63 @@ def main():
     ap.add_argument("--build-dir", default="build")
     ap.add_argument("--out", default="BENCH_runtime.json")
     ap.add_argument("--frames", type=int, default=128)
-    ap.add_argument(
-        "--serving-sessions",
-        default="100,1000,10000",
-        help="comma-separated concurrent-session counts for the "
-        "serving sweep",
-    )
-    ap.add_argument(
-        "--serving-frames",
-        type=int,
-        default=4,
-        help="frames decoded per serving session",
-    )
+    ap.add_argument("--serving-sessions", default="100,1000,10000",
+                    help="comma-separated concurrent-session counts "
+                    "for the serving sweep")
+    ap.add_argument("--serving-frames", type=int, default=4,
+                    help="frames decoded per serving session")
     args = ap.parse_args()
 
-    report = {
-        "schema": "bcl-bench-runtime/1",
-        "frames": args.frames,
-        "fig13_vorbis": run_fig13(args.build_dir, args.frames),
-    }
-    ladder = run_strategy_compare(args.build_dir, args.frames)
-    if ladder is not None:
-        report["strategy_compare"] = ladder
-    scaling = run_cosim_parallel(args.build_dir,
-                                 min(args.frames, 16))
-    if scaling is not None:
-        report["cosim_parallel"] = scaling
-    serving = run_serving(args.build_dir, args.serving_sessions,
-                          args.serving_frames)
-    if serving is not None:
-        report["serving"] = serving
-    sweep = run_partition_sweep(args.build_dir,
-                                min(args.frames, 32))
-    if sweep is not None:
-        report["partition_sweep"] = {
-            "frames": sweep["frames"],
-            "sweep_hw_backend": sweep["sweep_hw_backend"],
-            "frontier": sweep["frontier"],
-        }
-        # The interpreted-vs-compiled hardware-clock comparison is the
-        # headline number of the compiled backend; promote it to a
-        # top-level section.
-        report["hw_backend"] = {
-            "compare_frames": sweep["compare_frames"],
-            "workloads": sweep["hw_backend_compare"],
-        }
-    platforms = run_platform_sweep(args.build_dir,
-                                   min(args.frames, 16))
-    if platforms is not None:
-        report["platform_scenarios"] = platforms
-    transports = run_transports(args.build_dir)
-    if transports is not None:
-        report["transports"] = transports
-    ablations = run_sw_runtime_opts(args.build_dir)
-    if ablations is not None:
-        report["sw_runtime_opts"] = ablations
+    report = {"schema": "bcl-bench-runtime/1", "frames": args.frames}
+    failures = []
+    for path, bench, bench_args, shape in sections(args):
+        try:
+            raw = run_bench(args.build_dir, bench, bench_args, failures)
+        except Skipped as why:
+            print(f"skipped {'/'.join(path)}: {why}", file=sys.stderr)
+            continue
+        if raw is None:
+            continue
+        if "host" in raw:
+            report.setdefault("host", raw["host"])
+        node = report
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = shape(raw) if shape else raw
 
-    snapshot = metrics_snapshot(serving, scaling)
+    sweep = report.pop("partition_sweep", None)
+    if sweep is not None:
+        # The interpreted-vs-compiled hardware-clock comparison is the
+        # compiled backend's headline number: a top-level section.
+        report["partition_sweep"] = {
+            k: sweep[k] for k in ("frames", "sweep_hw_backend", "frontier")}
+        report["hw_backend"] = {"compare_frames": sweep["compare_frames"],
+                                "workloads": sweep["hw_backend_compare"]}
+    snapshot = {}
+    if "metrics" in report.get("serving", {}):
+        snapshot["serving"] = report["serving"]["metrics"]
+    chans = {w["name"]: w["metrics"]
+             for w in report.get("cosim_parallel", {}).get("workloads", [])
+             if w.get("metrics")}
+    if chans:
+        snapshot["cosim_channels"] = chans
     if snapshot:
         report["metrics_snapshot"] = snapshot
 
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
-
-    full_sw = report["fig13_vorbis"]["full_sw"]
     print(f"wrote {args.out}")
-    print(
-        f"full-SW Vorbis: {full_sw['wall_ns_per_frame']:.0f} ns/frame, "
-        f"{full_sw['rules_per_sec']:.0f} rules/s, "
-        f"{full_sw['work_per_frame']:.0f} work/frame"
-    )
-    if ladder is not None:
-        steps = ", ".join(
-            f"{name} {s['speedup_vs_interp']:.1f}x"
-            for name, s in ladder["strategies"].items()
-        )
-        print(f"compiled ladder (vs interp): {steps}")
-    if serving is not None:
-        line = ", ".join(
-            f"{p['sessions']}: {p['streams_per_sec']:.0f} str/s "
-            f"p99 {p['frame_ms_p99']:.2f} ms"
-            for p in serving["points"]
-        )
-        print(
-            f"serving ({serving['backend']}, "
-            f"workers={serving['workers']}): {line}"
-        )
-    if scaling is not None:
-        splits = {
-            w["name"]: w["best_speedup"]
-            for w in scaling["workloads"]
-            if w["domains"] >= 3
-        }
-        line = ", ".join(f"{n} {s:.2f}x" for n, s in splits.items())
-        print(
-            f"parallel cosim (hc={scaling['hardware_concurrency']}): "
-            f"{line}"
-        )
-    if transports is not None:
-        parts = []
-        for name, entry in transports.items():
-            sv = entry.get("serving") or {}
-            if sv.get("streams_per_sec") is not None:
-                parts.append(
-                    f"{name} {sv['streams_per_sec']:.0f} str/s "
-                    f"p99 {sv['frame_ms_p99']:.2f} ms"
-                )
-        if parts:
-            print(f"transport relay cost (serving B): "
-                  f"{', '.join(parts)}")
-    if sweep is not None:
-        parts = []
-        for name, c in sweep["hw_backend_compare"].items():
-            if c.get("compiled") is None:
-                parts.append(f"{name} (no host compiler)")
-                continue
-            exact = c["outputs_match"] and c["cycles_match"]
-            parts.append(
-                f"{name} {c['speedup']:.1f}x"
-                f"{'' if exact else ' DIVERGED'}"
-            )
-        print(f"compiled hw clock (vs interpreted): {', '.join(parts)}")
-    if platforms is not None:
-        line = ", ".join(
-            f"{s['name']} "
-            f"{s['vorbis']['vs_baseline']['fpga_cycles_ratio']:.2f}x"
-            for s in platforms["scenarios"]
-        )
-        het = platforms.get("heterogeneous", {})
-        print(
-            f"platform scenarios (vorbis cycles vs ml507): {line}; "
-            f"het topology occupancy_differs="
-            f"{het.get('occupancy_differs')}"
-        )
-        bad = platform_mismatches(platforms)
-        if bad:
-            sys.exit(
-                "error: platform sweep changed workload outputs in: "
-                + ", ".join(bad)
-                + " (link timing must be semantics-preserving)"
-            )
+    full_sw = report.get("fig13_vorbis", {}).get("full_sw")
+    if full_sw:
+        print(f"full-SW Vorbis: {full_sw['wall_ns_per_frame']:.0f} "
+              f"ns/frame, {full_sw['rules_per_sec']:.0f} rules/s, "
+              f"{full_sw['work_per_frame']:.0f} work/frame")
+
+    failures += [f"outputs_match false at {p}"
+                 for p in outputs_mismatches(report)]
+    if failures:
+        sys.exit("error: " + "; ".join(failures))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 #include "core/domains.hpp"
 
-#include <algorithm>
 #include <map>
 
 #include "common/logging.hpp"
@@ -223,18 +222,6 @@ inferDomains(ElabProgram &prog, const std::string &default_domain)
             out.primDomain.push_back(resolve(prim_var[i]));
             out.domains.insert(out.primDomain.back());
         }
-    }
-    return out;
-}
-
-std::vector<std::string>
-distinctHwDomains(std::initializer_list<std::string> doms)
-{
-    std::vector<std::string> out;
-    for (const std::string &d : doms) {
-        if (d != "SW" &&
-            std::find(out.begin(), out.end(), d) == out.end())
-            out.push_back(d);
     }
     return out;
 }

@@ -23,7 +23,6 @@
 #ifndef BCL_CORE_DOMAINS_HPP
 #define BCL_CORE_DOMAINS_HPP
 
-#include <initializer_list>
 #include <set>
 #include <string>
 #include <vector>
@@ -66,15 +65,6 @@ struct DomainAssignment
  */
 DomainAssignment inferDomains(ElabProgram &prog,
                               const std::string &default_domain = "SW");
-
-/**
- * The distinct non-"SW" names among @p doms, first-seen order. The
- * workload harnesses use it to turn a per-stage domain configuration
- * (each stage names "SW" or some hardware domain, possibly shared)
- * into the hardware-domain list to query/report over.
- */
-std::vector<std::string>
-distinctHwDomains(std::initializer_list<std::string> doms);
 
 } // namespace bcl
 

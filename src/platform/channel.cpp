@@ -135,14 +135,11 @@ ChannelTransport::deliver(std::uint64_t now)
         size_t sz = rx.queue.size();
         if (sz < lastRxSize_)
             freed_ += static_cast<int>(lastRxSize_ - sz);
-        if (!epochs_)
-            charged_.fetch_sub(std::exchange(freed_, 0),
-                               std::memory_order_acq_rel);
         lastRxSize_ = sz;
     }
     bool any = false;
     while (InFlight *f = ring_.front()) {
-        if (f->deliverAt > now || (epochs_ && visible_ == 0))
+        if (f->deliverAt > now || (threaded_ && visible_ == 0))
             break;
         if (static_cast<int>(rx.queue.size()) >= spec_.capacity)
             panic("channel '" + spec_.name +
@@ -154,7 +151,7 @@ ChannelTransport::deliver(std::uint64_t now)
             rx.queue.push_back(std::move(f->msg));
         }
         ring_.pop();
-        if (epochs_)
+        if (threaded_)
             visible_--;
         any = true;
         if (traced_) {
@@ -175,7 +172,6 @@ ChannelTransport::deliver(std::uint64_t now)
 void
 ChannelTransport::barrier()
 {
-    epochs_ = true;
     charged_.fetch_sub(std::exchange(freed_, 0), std::memory_order_acq_rel);
     visible_ = ring_.size();
 }

@@ -127,14 +127,14 @@ class ChannelTransport
     nextArrivalAt() const
     {
         const InFlight *f =
-            epochs_ && visible_ == 0 ? nullptr : ring_.front();
+            threaded_ && visible_ == 0 ? nullptr : ring_.front();
         return f ? f->deliverAt
                  : std::numeric_limits<std::uint64_t>::max();
     }
 
-    /** Epoch barrier (both ends quiesced). From the first call on,
-     *  each end sees the other's pickups and freed credits only as of
-     *  the latest barrier: threaded runs become reproducible. */
+    /** Epoch barrier (both ends quiesced). A threaded transport runs
+     *  in epochs: each end sees the other's pickups and freed credits
+     *  only as of the latest barrier (reproducible threaded runs). */
     void barrier();
 
     /** Earliest pending event (arrival or deferred pickup), or
@@ -171,8 +171,8 @@ class ChannelTransport
      * Threaded-mode credit charge: messages counted against the
      * consumer's capacity (in flight + believed still in the consumer
      * queue). The producer increments at pickup; the consumer
-     * decrements as it observes its queue drain (deliver() entry; at
-     * the next barrier() in epoch mode).
+     * observes its queue drain at deliver() entry and the charge
+     * drops by that amount at the next barrier().
      * The observation lags the actual drain, so the charge is always
      * conservative — the rx-overflow panic in deliver() stays a hard
      * invariant under threading.
@@ -180,8 +180,7 @@ class ChannelTransport
     std::atomic<int> charged_{0};
     /** Consumer-side memo of the last observed rx queue size. */
     size_t lastRxSize_ = 0;
-    bool epochs_ = false;  ///< a barrier() happened
-    size_t visible_ = 0;   ///< epochs: in-flight messages published
+    size_t visible_ = 0;   ///< threaded: in-flight messages published
     int freed_ = 0;        ///< credits freed since the last barrier
 
     // Producer-side deferral episode being accrued (stall fix:

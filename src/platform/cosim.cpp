@@ -590,8 +590,6 @@ CoSim::runParallel(const std::function<bool(CoSim &)> &done)
         }
     };
 
-    for (auto &t : transports)
-        t->barrier();  // epoch mode from the first epoch on
     std::vector<std::thread> workers;
     workers.reserve(static_cast<size_t>(W));
     for (int w = 0; w < W; w++)

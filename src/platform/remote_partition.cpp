@@ -86,6 +86,13 @@ programSignature(const ElabProgram &prog)
         mixStr(h, prim.domA);
         mixStr(h, prim.domB);
         mix64(h, static_cast<std::uint64_t>(prim.channelId));
+        // Initial state (a Reg's reset value, a Bram's contents — the
+        // ray scene lives there): two partitions that differ only in
+        // data they were built with must not shake hands.
+        if (prim.init.valid()) {
+            for (std::uint32_t w : marshalValue(prim.init))
+                mix64(h, w);
+        }
     }
     mix64(h, prog.rules.size());
     for (const auto &rule : prog.rules) {

@@ -69,7 +69,8 @@ TransportKind parseTransportKind(const std::string &name);
 /**
  * Order-insensitive-free structural hash of an elaborated partition:
  * FNV-1a64 over every prim's identity (id, kind, path, width,
- * capacity, domains, channel) and every rule's (id, name, domain).
+ * capacity, domains, channel) and initial state (marshaled words),
+ * and every rule's (id, name, domain).
  * Both handshake sides compute it from their own ElabProgram — a
  * match means the two processes elaborated the same partition, so
  * marshaled payloads demarshal identically.

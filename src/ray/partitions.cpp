@@ -1,137 +1,94 @@
 #include "ray/partitions.hpp"
 
-#include "common/logging.hpp"
-#include "core/domains.hpp"
-#include "core/elaborate.hpp"
-#include "core/partition.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace ray {
 
-std::vector<RayPartition>
-allRayPartitions()
+namespace {
+
+RayConfig
+configFor(const StageDomains &domains, int width, int height)
 {
-    return {RayPartition::A, RayPartition::B, RayPartition::C,
-            RayPartition::D};
+    RayConfig cfg;
+    cfg.width = width;
+    cfg.height = height;
+    cfg.travDom = stageDomain(domains, "trav");
+    cfg.boxDom = stageDomain(domains, "box");
+    cfg.geomDom = stageDomain(domains, "geom");
+    return cfg;
 }
 
-const char *
-rayPartitionName(RayPartition p)
+class RayWorkload final : public Workload
 {
-    switch (p) {
-      case RayPartition::A: return "A";
-      case RayPartition::B: return "B";
-      case RayPartition::C: return "C";
-      case RayPartition::D: return "D";
+  public:
+    RayWorkload()
+    {
+        name = "ray";
+        defaultSeed = 4242;
+        stages = {"trav", "box", "geom"};
+        partitions = {
+            {"A", "full SW", {}},
+            {"B", "Box+Geom intersect in HW",
+             {{"box", "HW"}, {"geom", "HW"}}},
+            {"C", "BVH traversal engine + BRAM scene in HW",
+             {{"trav", "HW"}, {"box", "HW"}, {"geom", "HW"}}},
+            {"D", "Geom intersect in HW", {{"geom", "HW"}}},
+            {"split", "C with each engine in its own HW domain",
+             {{"trav", "HWT"}, {"box", "HWX"}, {"geom", "HWG"}}},
+        };
+        compiledSw = false;  // progress and output are registers
     }
-    return "?";
-}
 
-const char *
-rayPartitionDescription(RayPartition p)
-{
-    switch (p) {
-      case RayPartition::A: return "full SW";
-      case RayPartition::B: return "Box+Geom intersect in HW";
-      case RayPartition::C: return "BVH traversal engine + BRAM scene in HW";
-      case RayPartition::D: return "Geom intersect in HW";
+    Program
+    build(const StageDomains &domains, const WorkloadSize &size,
+          std::uint64_t seed) const override
+    {
+        std::vector<Sphere> scene = makeScene(size.prims, seed);
+        Bvh bvh = buildBvh(scene);
+        return makeRayProgram(configFor(domains, size.side, size.side),
+                              scene, bvh, makeCamera());
     }
-    return "?";
+
+    StreamSpec
+    stream(const PartitionResult &parts, const WorkloadSize &size,
+           std::uint64_t) const override
+    {
+        int done_cnt = parts.part("SW").prog.primByPath("doneCnt");
+        StreamSpec spec;
+        spec.progress = [done_cnt](CoSim &cs) {
+            return cs.storeOf("SW").at(done_cnt).val.asUInt();
+        };
+        spec.target = static_cast<std::uint64_t>(size.side) * size.side;
+        return spec;
+    }
+
+    std::vector<std::uint32_t>
+    output(CoSim &cs, const PartitionResult &parts) const override
+    {
+        int fb = parts.part("SW").prog.primByPath("fb");
+        std::vector<std::uint32_t> pixels;
+        for (const Value &px : cs.storeOf("SW").at(fb).val.elems())
+            pixels.push_back(static_cast<std::uint32_t>(px.asUInt()));
+        return pixels;
+    }
+};
+
+} // namespace
+
+const Workload &
+rayWorkload()
+{
+    static const RayWorkload w;
+    return w;
 }
 
 RayConfig
 rayPartitionConfig(RayPartition p, int width, int height)
 {
-    RayConfig cfg;
-    cfg.width = width;
-    cfg.height = height;
-    switch (p) {
-      case RayPartition::A:
-        break;
-      case RayPartition::B:
-        cfg.boxDom = "HW";
-        cfg.geomDom = "HW";
-        break;
-      case RayPartition::C:
-        cfg.travDom = "HW";
-        cfg.boxDom = "HW";
-        cfg.geomDom = "HW";
-        break;
-      case RayPartition::D:
-        cfg.geomDom = "HW";
-        break;
-    }
-    return cfg;
-}
-
-RayRunResult
-runRayPartition(RayPartition p, int width, int height, int prim_count,
-                const CosimConfig *cfg_override, std::uint64_t seed)
-{
-    return runRayConfig(rayPartitionConfig(p, width, height),
-                        prim_count, cfg_override, seed);
-}
-
-RayConfig
-splitRayConfig(int width, int height)
-{
-    RayConfig cfg;
-    cfg.width = width;
-    cfg.height = height;
-    cfg.travDom = "HWT";
-    cfg.boxDom = "HWX";
-    cfg.geomDom = "HWG";
-    return cfg;
-}
-
-RayRunResult
-runRayConfig(const RayConfig &rcfg, int prim_count,
-             const CosimConfig *cfg_override, std::uint64_t seed)
-{
-    std::vector<Sphere> scene = makeScene(prim_count, seed);
-    Bvh bvh = buildBvh(scene);
-    Camera cam = makeCamera();
-
-    Program prog = makeRayProgram(rcfg, scene, bvh, cam);
-    ElabProgram elab = elaborate(prog);
-    DomainAssignment doms = inferDomains(elab);
-    PartitionResult parts = partitionProgram(elab, doms);
-
-    CosimConfig cfg = cfg_override ? *cfg_override : CosimConfig{};
-    CoSim cosim(parts, cfg);
-
-    const PartitionPart &sw = parts.part("SW");
-    int done_cnt = sw.prog.primByPath("doneCnt");
-    int fb = sw.prog.primByPath("fb");
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(rcfg.width) * rcfg.height;
-
-    std::uint64_t cycles = cosim.run([&](CoSim &cs) {
-        return cs.storeOf("SW").at(done_cnt).val.asUInt() == total;
-    });
-
-    RayRunResult res;
-    res.fpgaCycles = cycles;
-    res.swWork = cosim.swInterp().stats().work;
-    const Value &image = cosim.storeOf("SW").at(fb).val;
-    res.pixels.reserve(total);
-    for (const Value &px : image.elems())
-        res.pixels.push_back(static_cast<std::uint32_t>(px.asUInt()));
-    // Sum hardware activity over every hardware domain the
-    // configuration names (the split config has three).
-    for (const std::string &d : distinctHwDomains(
-             {rcfg.travDom, rcfg.boxDom, rcfg.geomDom})) {
-        if (const HwStats *hw = cosim.hwStats(d))
-            res.hwRuleFires += hw->rulesFired;
-    }
-    for (const auto &chan : cosim.channels()) {
-        res.messages += chan->stats().messages;
-        res.channelWords += chan->stats().payloadWords;
-        res.channelStats.emplace_back(chan->spec().name,
-                                      chan->stats());
-    }
-    res.linkUsage = cosim.linkUsage();
-    return res;
+    return configFor(
+        rayWorkload().partitions[static_cast<size_t>(p)].domains, width,
+        height);
 }
 
 } // namespace ray

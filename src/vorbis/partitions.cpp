@@ -1,108 +1,98 @@
 #include "vorbis/partitions.hpp"
 
-#include "common/logging.hpp"
-#include "core/domains.hpp"
-#include "core/elaborate.hpp"
-#include "core/partition.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace vorbis {
 
-std::vector<VorbisPartition>
-allVorbisPartitions()
+namespace {
+
+VorbisConfig
+configFor(const StageDomains &domains)
 {
-    return {VorbisPartition::F, VorbisPartition::A, VorbisPartition::B,
-            VorbisPartition::C, VorbisPartition::D, VorbisPartition::E};
+    VorbisConfig cfg;
+    cfg.imdctDom = stageDomain(domains, "imdct");
+    cfg.ifftDom = stageDomain(domains, "ifft");
+    cfg.winDom = stageDomain(domains, "win");
+    return cfg;
 }
 
-const char *
-partitionName(VorbisPartition p)
+class VorbisWorkload final : public Workload
 {
-    switch (p) {
-      case VorbisPartition::F: return "F";
-      case VorbisPartition::A: return "A";
-      case VorbisPartition::B: return "B";
-      case VorbisPartition::C: return "C";
-      case VorbisPartition::D: return "D";
-      case VorbisPartition::E: return "E";
+  public:
+    VorbisWorkload()
+    {
+        name = "vorbis";
+        defaultSeed = 12345;
+        stages = {"imdct", "ifft", "win"};
+        partitions = {
+            {"F", "full SW", {}},
+            {"A", "Window in HW", {{"win", "HW"}}},
+            {"B", "IFFT in HW", {{"ifft", "HW"}}},
+            {"C", "IFFT+Window in HW", {{"ifft", "HW"}, {"win", "HW"}}},
+            {"D", "IMDCT+IFFT in HW",
+             {{"imdct", "HW"}, {"ifft", "HW"}}},
+            {"E", "full HW back-end",
+             {{"imdct", "HW"}, {"ifft", "HW"}, {"win", "HW"}}},
+            {"split", "IMDCT, IFFT, Window in three HW domains",
+             {{"imdct", "HWA"}, {"ifft", "HWB"}, {"win", "HWC"}}},
+        };
     }
-    return "?";
-}
 
-const char *
-partitionDescription(VorbisPartition p)
-{
-    switch (p) {
-      case VorbisPartition::F: return "full SW";
-      case VorbisPartition::A: return "Window in HW";
-      case VorbisPartition::B: return "IFFT in HW";
-      case VorbisPartition::C: return "IFFT+Window in HW";
-      case VorbisPartition::D: return "IMDCT+IFFT in HW";
-      case VorbisPartition::E: return "full HW back-end";
+    Program
+    build(const StageDomains &domains, const WorkloadSize &,
+          std::uint64_t) const override
+    {
+        return makeVorbisProgram(configFor(domains));
     }
-    return "?";
+
+    StreamSpec
+    stream(const PartitionResult &parts, const WorkloadSize &size,
+           std::uint64_t seed) const override
+    {
+        const ElabProgram &sw = parts.part("SW").prog;
+        StreamSpec spec;
+        spec.driver = makeVorbisStreamDriver(
+            makeVorbisStreamState(size.frames, seed),
+            sw.rootMethod("input"));
+        int audio = sw.primByPath("audio");
+        spec.progress = [audio](CoSim &cs) {
+            return static_cast<std::uint64_t>(
+                cs.storeOf("SW").at(audio).queue.size());
+        };
+        spec.target = static_cast<std::uint64_t>(size.frames);
+        return spec;
+    }
+
+    std::vector<std::uint32_t>
+    output(CoSim &cs, const PartitionResult &parts) const override
+    {
+        std::vector<std::int32_t> pcm =
+            extractPcm(cs, parts.part("SW").prog.primByPath("audio"));
+        return {pcm.begin(), pcm.end()};
+    }
+};
+
+} // namespace
+
+const Workload &
+vorbisWorkload()
+{
+    static const VorbisWorkload w;
+    return w;
 }
 
 VorbisConfig
 partitionConfig(VorbisPartition p)
 {
-    VorbisConfig cfg;
-    switch (p) {
-      case VorbisPartition::F:
-        break;
-      case VorbisPartition::A:
-        cfg.winDom = "HW";
-        break;
-      case VorbisPartition::B:
-        cfg.ifftDom = "HW";
-        break;
-      case VorbisPartition::C:
-        cfg.ifftDom = "HW";
-        cfg.winDom = "HW";
-        break;
-      case VorbisPartition::D:
-        cfg.imdctDom = "HW";
-        cfg.ifftDom = "HW";
-        break;
-      case VorbisPartition::E:
-        cfg.imdctDom = "HW";
-        cfg.ifftDom = "HW";
-        cfg.winDom = "HW";
-        break;
-    }
-    return cfg;
-}
-
-VorbisRunResult
-runVorbisPartition(VorbisPartition p, int frames,
-                   const CosimConfig *cfg_override, std::uint64_t seed)
-{
-    return runVorbisConfig(partitionConfig(p), frames, cfg_override,
-                           seed);
+    return configFor(
+        vorbisWorkload().partitions[static_cast<size_t>(p)].domains);
 }
 
 VorbisConfig
 splitVorbisConfig()
 {
-    VorbisConfig cfg;
-    cfg.imdctDom = "HWA";
-    cfg.ifftDom = "HWB";
-    cfg.winDom = "HWC";
-    return cfg;
-}
-
-VorbisServeSetup
-makeVorbisServeSetup(const VorbisConfig &vcfg)
-{
-    VorbisServeSetup setup;
-    Program prog = makeVorbisProgram(vcfg);
-    setup.elab = elaborate(prog);
-    DomainAssignment doms = inferDomains(setup.elab);
-    setup.parts = partitionProgram(setup.elab, doms);
-    const PartitionPart &sw = setup.parts.part("SW");
-    setup.pushMethod = sw.prog.rootMethod("input");
-    setup.audioPrim = sw.prog.primByPath("audio");
-    return setup;
+    return configFor(vorbisWorkload().partition("split").domains);
 }
 
 std::shared_ptr<VorbisStreamState>
@@ -129,8 +119,9 @@ makeVorbisStreamDriver(std::shared_ptr<VorbisStreamState> state,
         if (port.callActionMethod(
                 push_method, {Value::makeVec(std::move(elems))})) {
             state->fed++;
-            // Same framing-cost accounting as runVorbisConfig's
-            // driver: method-call work plus loop bookkeeping.
+            // Front-end framing cost: the frame was produced by the
+            // (hand-written) front end; pushing it costs the method
+            // call work already counted, plus loop bookkeeping.
             return port.work() - before + kFrameIn;
         }
         return 0;
@@ -150,85 +141,6 @@ extractPcm(CoSim &cs, int audio_prim)
             pcm.push_back(static_cast<std::int32_t>(s.asInt()));
     }
     return pcm;
-}
-
-VorbisRunResult
-runVorbisConfig(const VorbisConfig &vcfg, int frames,
-                const CosimConfig *cfg_override, std::uint64_t seed)
-{
-    Program prog = makeVorbisProgram(vcfg);
-    ElabProgram elab = elaborate(prog);
-    DomainAssignment doms = inferDomains(elab);
-    PartitionResult parts = partitionProgram(elab, doms);
-
-    CosimConfig cfg =
-        cfg_override ? *cfg_override : CosimConfig{};
-    CoSim cosim(parts, cfg);
-
-    const PartitionPart &sw = parts.part("SW");
-    int push = sw.prog.rootMethod("input");
-    int audio = sw.prog.primByPath("audio");
-
-    std::vector<std::vector<Fix32>> inputs = makeFrames(frames, seed);
-    size_t fed = 0;
-    SwDriver driver;
-    driver.step = [&](SwPort &port) -> std::uint64_t {
-        if (fed >= inputs.size())
-            return 0;
-        std::vector<Value> elems;
-        elems.reserve(kFrameIn);
-        for (Fix32 s : inputs[fed])
-            elems.push_back(fixValue(s));
-        std::uint64_t before = port.work();
-        if (port.callActionMethod(push,
-                                  {Value::makeVec(std::move(elems))})) {
-            fed++;
-            // Front-end framing cost: the frame was produced by the
-            // (hand-written) front end; pushing it costs the method
-            // call work already counted, plus loop bookkeeping.
-            return port.work() - before + kFrameIn;
-        }
-        return 0;
-    };
-    driver.done = [&] { return fed >= inputs.size(); };
-    cosim.setDriver("SW", driver);
-
-    std::uint64_t cycles = cosim.run([&](CoSim &cs) {
-        return cs.storeOf("SW").at(audio).queue.size() ==
-               static_cast<size_t>(frames);
-    });
-
-    VorbisRunResult res;
-    res.fpgaCycles = cycles;
-    res.swWork = cosim.swInterp().stats().work;
-    res.swRulesFired = cosim.swInterp().stats().rulesFired;
-    res.swRulesAttempted = cosim.swInterp().stats().rulesAttempted;
-    res.swShadowCopies = cosim.swInterp().stats().shadowCopies;
-    if (const CompiledPartition *cp = cosim.swCompiled()) {
-        // Compiled backend: firings counted inside the shared object;
-        // work is not modeled there.
-        res.swRulesFired = cp->rulesFired();
-        res.swRulesAttempted = cp->rulesAttempted();
-    }
-    for (const auto &v : cosim.storeOf("SW").at(audio).queue) {
-        for (const auto &s : v.elems())
-            res.pcm.push_back(static_cast<std::int32_t>(s.asInt()));
-    }
-    // Sum hardware activity over every hardware domain the
-    // configuration names (the split config has three).
-    for (const std::string &d : distinctHwDomains(
-             {vcfg.imdctDom, vcfg.ifftDom, vcfg.winDom})) {
-        if (const HwStats *hw = cosim.hwStats(d))
-            res.hwRuleFires += hw->rulesFired;
-    }
-    for (const auto &chan : cosim.channels()) {
-        res.messages += chan->stats().messages;
-        res.channelWords += chan->stats().payloadWords;
-        res.channelStats.emplace_back(chan->spec().name,
-                                      chan->stats());
-    }
-    res.linkUsage = cosim.linkUsage();
-    return res;
 }
 
 } // namespace vorbis

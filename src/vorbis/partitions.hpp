@@ -1,8 +1,7 @@
 /**
  * @file
- * The six HW/SW partitions of the Vorbis back-end evaluated in
- * Figure 12/13 of the paper, and the harness that runs any of them
- * end to end under co-simulation.
+ * The Vorbis back-end's partitions: the six HW/SW partitions
+ * evaluated in Figure 12/13 of the paper, plus the per-stage split.
  *
  *   F - full software
  *   A - Window in HW, rest SW
@@ -10,16 +9,19 @@
  *   C - IFFT + Window in HW, IMDCT FSMs in SW
  *   D - IMDCT FSMs + IFFT in HW, Window in SW
  *   E - full hardware back-end (PCM emission still SW)
+ *   split - IMDCT, IFFT and Window each in their own hardware domain
+ *       (4 domains incl. SW — the parallel-scaling workload)
  *
- * Every partition must produce bit-identical PCM; their execution
- * times differ - that ordering is Figure 13 (left).
+ * Stages "imdct", "ifft" and "win" may take any domain; domain
+ * polymorphism makes every assignment legal. Every partition must
+ * produce bit-identical PCM; their execution times differ - that
+ * ordering is Figure 13 (left).
  */
 #ifndef BCL_VORBIS_PARTITIONS_HPP
 #define BCL_VORBIS_PARTITIONS_HPP
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "platform/cosim.hpp"
@@ -28,95 +30,18 @@
 namespace bcl {
 namespace vorbis {
 
-/** Partition labels (Figure 12). */
+/** Partition labels (Figure 12), in the workload's partition order. */
 enum class VorbisPartition { F, A, B, C, D, E };
-
-/** All partitions in the paper's reporting order. */
-std::vector<VorbisPartition> allVorbisPartitions();
-
-/** One-letter label. */
-const char *partitionName(VorbisPartition p);
-
-/** Human-readable description of what runs in hardware. */
-const char *partitionDescription(VorbisPartition p);
 
 /** Domain configuration realizing partition @p p. */
 VorbisConfig partitionConfig(VorbisPartition p);
 
-/** Result of one partition run. */
-struct VorbisRunResult
-{
-    std::uint64_t fpgaCycles = 0;   ///< end-to-end virtual time
-    std::vector<std::int32_t> pcm;  ///< decoded samples (Q8.24 raw)
-    std::uint64_t swWork = 0;       ///< software work units
-    std::uint64_t swRulesFired = 0;     ///< software rule firings
-    std::uint64_t swRulesAttempted = 0; ///< incl. guard failures
-    std::uint64_t swShadowCopies = 0;   ///< modeled state snapshots
-    std::uint64_t hwRuleFires = 0;  ///< hardware activity
-    std::uint64_t messages = 0;     ///< cross-partition messages
-    std::uint64_t channelWords = 0; ///< payload words moved
-    /** Per-channel traffic, by channel name in construction order —
-     *  feed to snapshotChannelStats for stable metric names. */
-    std::vector<std::pair<std::string, ChannelStats>> channelStats;
-    /** Per-(from,to) link occupancy, with the link class the
-     *  platform's topology section resolved for each pair. */
-    std::vector<CoSim::LinkUsage> linkUsage;
-};
-
-/**
- * Run @p frames synthetic audio frames through partition @p p.
- * @param cfg_override Optional co-simulation parameters.
- * @param seed Workload seed (same seed => same PCM in every
- * partition).
- */
-VorbisRunResult runVorbisPartition(VorbisPartition p, int frames,
-                                   const CosimConfig *cfg_override =
-                                       nullptr,
-                                   std::uint64_t seed = 12345);
-
-/**
- * Run an arbitrary domain configuration — not just the six lettered
- * Figure 12 partitions. Domain polymorphism makes any assignment of
- * {imdctDom, ifftDom, winDom} legal; in particular each stage may be
- * its own hardware domain (e.g. "HWA"/"HWB"/"HWC"), producing a
- * >=3-domain pipeline the parallel co-simulation can spread across
- * worker threads. PCM is bit-identical across every configuration.
- */
-VorbisRunResult runVorbisConfig(const VorbisConfig &vcfg, int frames,
-                                const CosimConfig *cfg_override =
-                                    nullptr,
-                                std::uint64_t seed = 12345);
-
-/** The per-stage split: IMDCT, IFFT and Window each in their own
- *  hardware domain (4 domains incl. SW — the parallel-scaling
- *  workload). */
+/** Domain configuration realizing the per-stage "split" partition. */
 VorbisConfig splitVorbisConfig();
-
-// ---------------------------------------------------------------------------
-// Serving-layer helpers (src/serve/): many concurrent Vorbis streams
-// over ONE shared program/partitioning.
-// ---------------------------------------------------------------------------
-
-/**
- * The immutable artifacts every serving session of one VorbisConfig
- * shares: the elaborated program, its partitioning, and the resolved
- * SW-side entry points. Build once, then back any number of
- * concurrent sessions — sessions only read it (their mutable state
- * lives in their own Stores).
- */
-struct VorbisServeSetup
-{
-    ElabProgram elab;
-    PartitionResult parts;
-    int pushMethod = -1;  ///< root `input` method in the SW part
-    int audioPrim = -1;   ///< AudioDev prim in the SW part
-};
-
-VorbisServeSetup makeVorbisServeSetup(const VorbisConfig &vcfg = {});
 
 /**
  * Per-stream input state captured by the driver closure. One per
- * session; the shared_ptr keeps it alive inside the SwDriver.
+ * stream; the shared_ptr keeps it alive inside the SwDriver.
  */
 struct VorbisStreamState
 {
@@ -124,16 +49,13 @@ struct VorbisStreamState
     size_t fed = 0;
 };
 
-/**
- * Driver feeding @p state's frames through the `input` root method —
- * the per-session twin of the driver runVorbisConfig wires up.
- * @p seed picks the stream's synthetic audio (same seed => same PCM
- * as a solo serial run; the serving determinism tests rely on it).
- */
+/** Driver feeding @p state's frames through the `input` root method
+ *  @p push_method — the driver of the workload's stream. */
 SwDriver makeVorbisStreamDriver(
     std::shared_ptr<VorbisStreamState> state, int push_method);
 
-/** Fresh per-stream input state (@p frames frames from @p seed). */
+/** Fresh per-stream input state (@p frames frames from @p seed; same
+ *  seed => same PCM in every partition). */
 std::shared_ptr<VorbisStreamState> makeVorbisStreamState(
     int frames, std::uint64_t seed);
 

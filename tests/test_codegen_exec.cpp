@@ -31,6 +31,7 @@
 #include "serve/compile_cache.hpp"
 #include "vorbis/backend_bcl.hpp"
 #include "vorbis/partitions.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace {
@@ -546,16 +547,13 @@ TEST(CodegenExecSharedArtifact, RebindThreadMigratesMidRun)
 TEST(CodegenExecCosim, VorbisPartitionDCompiledMatchesInterpreted)
 {
     REQUIRE_HOST_COMPILER();
-    using namespace vorbis;
-    const int frames = 4;
+    const WorkloadSize size{.frames = 4};
     CosimConfig icfg;
-    VorbisRunResult ir =
-        runVorbisPartition(VorbisPartition::D, frames, &icfg);
+    RunResult ir = runWorkload("vorbis_D", size, icfg);
     CosimConfig ccfg;
     ccfg.swBackend = SwBackend::Compiled;
-    VorbisRunResult cr =
-        runVorbisPartition(VorbisPartition::D, frames, &ccfg);
-    EXPECT_EQ(cr.pcm, ir.pcm);
+    RunResult cr = runWorkload("vorbis_D", size, ccfg);
+    EXPECT_EQ(cr.output, ir.output);
     EXPECT_EQ(cr.swRulesFired, ir.swRulesFired);
     EXPECT_EQ(cr.messages, ir.messages);
 }

@@ -33,9 +33,8 @@
 #include "hwsim/clocksim.hpp"
 #include "hwsim/compiled_hw.hpp"
 #include "platform/cosim.hpp"
-#include "ray/partitions.hpp"
 #include "vorbis/ifft_bcl.hpp"
-#include "vorbis/partitions.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace {
@@ -435,19 +434,15 @@ TEST(CodegenHw, IfftPipeMatchesClockSimCycleExactly)
 TEST(CodegenHw, VorbisFullHwCosimMatchesInterpreted)
 {
     REQUIRE_HOST_COMPILER();
-    const int frames = 2;
-    vorbis::VorbisConfig vcfg =
-        vorbis::partitionConfig(vorbis::VorbisPartition::E);
-    vorbis::VorbisRunResult ref =
-        vorbis::runVorbisConfig(vcfg, frames);
-    ASSERT_FALSE(ref.pcm.empty());
+    const WorkloadSize size{.frames = 2};
+    RunResult ref = runWorkload("vorbis_E", size);
+    ASSERT_FALSE(ref.output.empty());
 
     CosimConfig cfg;
     cfg.hwBackend = HwBackend::Compiled;
-    vorbis::VorbisRunResult got =
-        vorbis::runVorbisConfig(vcfg, frames, &cfg);
+    RunResult got = runWorkload("vorbis_E", size, cfg);
 
-    EXPECT_EQ(got.pcm, ref.pcm);
+    EXPECT_EQ(got.output, ref.output);
     EXPECT_EQ(got.hwRuleFires, ref.hwRuleFires);
     EXPECT_EQ(got.swRulesFired, ref.swRulesFired);
     EXPECT_EQ(got.fpgaCycles, ref.fpgaCycles);
@@ -457,17 +452,16 @@ TEST(CodegenHw, VorbisFullHwCosimMatchesInterpreted)
 TEST(CodegenHw, RayFullHwCosimMatchesInterpreted)
 {
     REQUIRE_HOST_COMPILER();
-    const int w = 6, h = 6, prims = 32;
-    ray::RayConfig rcfg =
-        ray::rayPartitionConfig(ray::RayPartition::C, w, h);
-    ray::RayRunResult ref = ray::runRayConfig(rcfg, prims);
-    ASSERT_EQ(ref.pixels.size(), static_cast<size_t>(w) * h);
+    const int w = 6, h = 6;
+    const WorkloadSize size{.side = w, .prims = 32};
+    RunResult ref = runWorkload("ray_C", size);
+    ASSERT_EQ(ref.output.size(), static_cast<size_t>(w) * h);
 
     CosimConfig cfg;
     cfg.hwBackend = HwBackend::Compiled;
-    ray::RayRunResult got = ray::runRayConfig(rcfg, prims, &cfg);
+    RunResult got = runWorkload("ray_C", size, cfg);
 
-    EXPECT_EQ(got.pixels, ref.pixels);
+    EXPECT_EQ(got.output, ref.output);
     EXPECT_EQ(got.hwRuleFires, ref.hwRuleFires);
     EXPECT_EQ(got.fpgaCycles, ref.fpgaCycles);
     EXPECT_EQ(got.messages, ref.messages);

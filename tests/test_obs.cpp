@@ -28,7 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "platform/cosim.hpp"
-#include "vorbis/partitions.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace {
@@ -521,9 +521,8 @@ TEST(TracedCosim, PartitionedRunEmitsFlowsSlicesAndEpochs)
     ScopedObs on;
     CosimConfig cfg;
     cfg.threads = 2;  // parallel engine: worker slice spans
-    vorbis::VorbisRunResult r = vorbis::runVorbisPartition(
-        vorbis::VorbisPartition::B, 2, &cfg);
-    ASSERT_FALSE(r.pcm.empty());
+    RunResult r = runWorkload("vorbis_B", {.frames = 2}, cfg);
+    ASSERT_FALSE(r.output.empty());
     ASSERT_GT(r.messages, 0u);
 
     Json root = JsonParser(obs::trace().toJson()).parse();
@@ -555,22 +554,19 @@ TEST(TracedCosim, PartitionedRunEmitsFlowsSlicesAndEpochs)
 TEST(TracedCosim, OutputsIdenticalWithTracingOnAndOff)
 {
     // Reference: tracing fully off (the process default).
-    vorbis::VorbisRunResult off =
-        vorbis::runVorbisPartition(vorbis::VorbisPartition::B, 2);
-    std::vector<std::int32_t> pcm_off = off.pcm;
+    RunResult off = runWorkload("vorbis_B", {.frames = 2});
+    std::vector<std::uint32_t> pcm_off = off.output;
     std::uint64_t cycles_off = off.fpgaCycles;
     {
         ScopedObs on;
-        vorbis::VorbisRunResult traced =
-            vorbis::runVorbisPartition(vorbis::VorbisPartition::B, 2);
-        EXPECT_EQ(traced.pcm, pcm_off);
+        RunResult traced = runWorkload("vorbis_B", {.frames = 2});
+        EXPECT_EQ(traced.output, pcm_off);
         EXPECT_EQ(traced.fpgaCycles, cycles_off);
         EXPECT_GT(obs::trace().eventCount(), 0u);
     }
     // And once more after disabling, to catch any state leak.
-    vorbis::VorbisRunResult again =
-        vorbis::runVorbisPartition(vorbis::VorbisPartition::B, 2);
-    EXPECT_EQ(again.pcm, pcm_off);
+    RunResult again = runWorkload("vorbis_B", {.frames = 2});
+    EXPECT_EQ(again.output, pcm_off);
     EXPECT_EQ(again.fpgaCycles, cycles_off);
 }
 
@@ -579,19 +575,17 @@ TEST(TracedCosim, SnapshotPublishesCosimMetrics)
     ScopedObs on;
     // Build a cosim directly so we can snapshot it: partition B, tiny
     // run, sequential (snapshot is a quiesced-state operation).
-    vorbis::VorbisServeSetup setup = vorbis::makeVorbisServeSetup(
-        vorbis::partitionConfig(vorbis::VorbisPartition::B));
+    const NamedWorkload &b = findWorkload("vorbis_B");
+    const WorkloadSize size{.frames = 1};
+    PartitionResult parts =
+        partitionWorkload(*b.workload, b.partition->domains, size, 7);
     CosimConfig cfg;
     cfg.threads = 1;
     cfg.swBackend = SwBackend::Interpreted;
-    CoSim cs(setup.parts, cfg);
-    auto state = vorbis::makeVorbisStreamState(1, 7);
-    cs.setDriver("SW", vorbis::makeVorbisStreamDriver(
-                           state, setup.pushMethod));
-    int audio = setup.audioPrim;
-    cs.run([&](CoSim &c) {
-        return c.storeOf("SW").at(audio).queue.size() >= 1;
-    });
+    CoSim cs(parts, cfg);
+    StreamSpec spec = b.workload->stream(parts, size, 7);
+    cs.setDriver("SW", spec.driver);
+    cs.run([&](CoSim &c) { return spec.progress(c) >= 1; });
 
     obs::MetricsRegistry reg;
     reg.enable(true);

@@ -22,10 +22,9 @@
 #include "obs/trace.hpp"
 #include "platform/cosim.hpp"
 #include "platform/marshal.hpp"
-#include "ray/partitions.hpp"
 #include "runtime/exec.hpp"
 #include "serve/compile_cache.hpp"
-#include "vorbis/partitions.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace {
@@ -639,6 +638,7 @@ TEST(Channel, RxOverflowPanicStillFiresUnderThreading)
     rig.txStore->at(rig.spec.txPrim).queue.push_back(rig.msg(1));
     ch.pump(0);
     ASSERT_EQ(ch.stats().messages, 1u);
+    ch.barrier();  // epoch boundary: the pickup becomes deliverable
 
     PrimState &rx = rig.rxStore->at(rig.spec.rxPrim);
     for (int i = 0; i < rig.spec.capacity; i++)
@@ -650,7 +650,9 @@ TEST(Channel, RxOverflowPanicStillFiresUnderThreading)
 TEST(Channel, ThreadedCreditsObserveConsumerDrain)
 {
     // Threaded mode: the producer's credit view is the atomic charge;
-    // the consumer folds its queue drain back in at deliver().
+    // the consumer observes its queue drain at deliver() and the
+    // charge drops at the next epoch barrier. barrier() is called
+    // where the parallel engine would call it.
     TransportRig rig;
     ChannelTransport ch(rig.spec, *rig.txStore, *rig.rxStore, rig.link,
                         BusParams{},
@@ -667,6 +669,7 @@ TEST(Channel, ThreadedCreditsObserveConsumerDrain)
               static_cast<std::uint64_t>(rig.spec.capacity));
     EXPECT_EQ(tx.queue.size(), 2u);
 
+    ch.barrier();
     ch.deliver(100000);
     EXPECT_EQ(rx.queue.size(),
               static_cast<size_t>(rig.spec.capacity));
@@ -676,11 +679,12 @@ TEST(Channel, ThreadedCreditsObserveConsumerDrain)
     ch.pump(100000);
     EXPECT_EQ(tx.queue.size(), 2u);
 
-    // ...until the consumer dequeues and the next deliver() call
-    // observes the drain.
+    // ...until the consumer dequeues, the next deliver() call
+    // observes the drain and the next barrier publishes it.
     rx.queue.pop_front();
     rx.queue.pop_front();
     ch.deliver(100001);
+    ch.barrier();
     ch.pump(100001);
     EXPECT_EQ(tx.queue.size(), 0u);
     EXPECT_EQ(ch.stats().messages,
@@ -818,29 +822,37 @@ matrixThreadCounts()
     return counts;
 }
 
+/** Every registered partition of @p workload ("vorbis_F", ...). */
+std::vector<std::string>
+namesOf(const std::string &workload)
+{
+    std::vector<std::string> names;
+    for (const NamedWorkload &nw : allWorkloads()) {
+        if (nw.workload->name == workload)
+            names.push_back(nw.name);
+    }
+    return names;
+}
+
 TEST(CoSimParallel, VorbisDeterminismMatrixInterpreted)
 {
-    const int frames = 2;
-    std::vector<vorbis::VorbisConfig> configs;
-    for (vorbis::VorbisPartition p : vorbis::allVorbisPartitions())
-        configs.push_back(vorbis::partitionConfig(p));
-    configs.push_back(vorbis::splitVorbisConfig());
+    const WorkloadSize size{.frames = 2};
+    const std::vector<std::string> configs = namesOf("vorbis");
 
     for (size_t ci = 0; ci < configs.size(); ci++) {
-        vorbis::VorbisRunResult ref;
+        RunResult ref;
         bool have_ref = false;
         for (int threads : matrixThreadCounts()) {
             CosimConfig cfg;
             cfg.threads = threads;
-            vorbis::VorbisRunResult r = vorbis::runVorbisConfig(
-                configs[ci], frames, &cfg);
+            RunResult r = runWorkload(configs[ci], size, cfg);
             if (!have_ref) {
                 ref = r;
                 have_ref = true;
-                EXPECT_FALSE(ref.pcm.empty());
+                EXPECT_FALSE(ref.output.empty());
                 continue;
             }
-            EXPECT_EQ(r.pcm, ref.pcm)
+            EXPECT_EQ(r.output, ref.output)
                 << "config " << ci << " threads=" << threads;
             EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
                 << "config " << ci << " threads=" << threads;
@@ -854,25 +866,20 @@ TEST(CoSimParallel, VorbisDeterminismMatrixCompiled)
 {
     if (!CompiledPartition::hostCompilerAvailable())
         GTEST_SKIP() << "no host compiler";
-    const int frames = 2;
-    std::vector<vorbis::VorbisConfig> configs;
-    for (vorbis::VorbisPartition p : vorbis::allVorbisPartitions())
-        configs.push_back(vorbis::partitionConfig(p));
-    configs.push_back(vorbis::splitVorbisConfig());
+    const WorkloadSize size{.frames = 2};
+    const std::vector<std::string> configs = namesOf("vorbis");
 
     // Interpreted threads=1 is the golden reference for the compiled
     // backend too (PR 4's differential contract).
     for (size_t ci = 0; ci < configs.size(); ci++) {
         CosimConfig ref_cfg;
-        vorbis::VorbisRunResult ref =
-            vorbis::runVorbisConfig(configs[ci], frames, &ref_cfg);
+        RunResult ref = runWorkload(configs[ci], size, ref_cfg);
         for (int threads : matrixThreadCounts()) {
             CosimConfig cfg;
             cfg.threads = threads;
             cfg.swBackend = SwBackend::Compiled;
-            vorbis::VorbisRunResult r = vorbis::runVorbisConfig(
-                configs[ci], frames, &cfg);
-            EXPECT_EQ(r.pcm, ref.pcm)
+            RunResult r = runWorkload(configs[ci], size, cfg);
+            EXPECT_EQ(r.output, ref.output)
                 << "config " << ci << " threads=" << threads;
             EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
                 << "config " << ci << " threads=" << threads;
@@ -891,11 +898,8 @@ TEST(CoSimParallel, VorbisDeterminismMatrixCompiledHw)
 {
     if (!CompiledHwPartition::hostCompilerAvailable())
         GTEST_SKIP() << "no host compiler";
-    const int frames = 2;
-    std::vector<vorbis::VorbisConfig> configs;
-    configs.push_back(
-        vorbis::partitionConfig(vorbis::VorbisPartition::E));
-    configs.push_back(vorbis::splitVorbisConfig());
+    const WorkloadSize size{.frames = 2};
+    const std::vector<std::string> configs{"vorbis_E", "vorbis_split"};
 
     serve::CompileCache cache;
     auto provider = [&cache](const ElabProgram &prog,
@@ -904,16 +908,14 @@ TEST(CoSimParallel, VorbisDeterminismMatrixCompiledHw)
     };
 
     for (size_t ci = 0; ci < configs.size(); ci++) {
-        vorbis::VorbisRunResult ref =
-            vorbis::runVorbisConfig(configs[ci], frames);
+        RunResult ref = runWorkload(configs[ci], size);
         for (int threads : matrixThreadCounts()) {
             CosimConfig cfg;
             cfg.threads = threads;
             cfg.hwBackend = HwBackend::Compiled;
             cfg.compileProvider = provider;
-            vorbis::VorbisRunResult r = vorbis::runVorbisConfig(
-                configs[ci], frames, &cfg);
-            EXPECT_EQ(r.pcm, ref.pcm)
+            RunResult r = runWorkload(configs[ci], size, cfg);
+            EXPECT_EQ(r.output, ref.output)
                 << "config " << ci << " threads=" << threads;
             EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
                 << "config " << ci << " threads=" << threads;
@@ -936,11 +938,9 @@ TEST(CoSimParallel, VorbisDeterminismMatrixCompiledHw)
         cfg.swBackend = SwBackend::Compiled;
         cfg.hwBackend = HwBackend::Compiled;
         cfg.compileProvider = provider;
-        vorbis::VorbisRunResult ref =
-            vorbis::runVorbisConfig(configs.back(), frames);
-        vorbis::VorbisRunResult r =
-            vorbis::runVorbisConfig(configs.back(), frames, &cfg);
-        EXPECT_EQ(r.pcm, ref.pcm) << "threads=" << threads;
+        RunResult ref = runWorkload(configs.back(), size);
+        RunResult r = runWorkload(configs.back(), size, cfg);
+        EXPECT_EQ(r.output, ref.output) << "threads=" << threads;
         EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
             << "threads=" << threads;
     }
@@ -950,11 +950,8 @@ TEST(CoSimParallel, RayDeterminismMatrixCompiledHw)
 {
     if (!CompiledHwPartition::hostCompilerAvailable())
         GTEST_SKIP() << "no host compiler";
-    const int w = 6, h = 6, prims = 32;
-    std::vector<ray::RayConfig> configs;
-    configs.push_back(
-        ray::rayPartitionConfig(ray::RayPartition::C, w, h));
-    configs.push_back(ray::splitRayConfig(w, h));
+    const WorkloadSize size{.side = 6, .prims = 32};
+    const std::vector<std::string> configs{"ray_C", "ray_split"};
 
     serve::CompileCache cache;
     auto provider = [&cache](const ElabProgram &prog,
@@ -963,16 +960,14 @@ TEST(CoSimParallel, RayDeterminismMatrixCompiledHw)
     };
 
     for (size_t ci = 0; ci < configs.size(); ci++) {
-        ray::RayRunResult ref =
-            ray::runRayConfig(configs[ci], prims);
+        RunResult ref = runWorkload(configs[ci], size);
         for (int threads : {1, 2}) {
             CosimConfig cfg;
             cfg.threads = threads;
             cfg.hwBackend = HwBackend::Compiled;
             cfg.compileProvider = provider;
-            ray::RayRunResult r =
-                ray::runRayConfig(configs[ci], prims, &cfg);
-            EXPECT_EQ(r.pixels, ref.pixels)
+            RunResult r = runWorkload(configs[ci], size, cfg);
+            EXPECT_EQ(r.output, ref.output)
                 << "config " << ci << " threads=" << threads;
             EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
                 << "config " << ci << " threads=" << threads;
@@ -987,28 +982,25 @@ TEST(CoSimParallel, RayDeterminismMatrixCompiledHw)
 
 TEST(CoSimParallel, RayDeterminismMatrixInterpreted)
 {
-    const int w = 6, h = 6, prims = 32;
-    std::vector<ray::RayConfig> configs;
-    for (ray::RayPartition p : ray::allRayPartitions())
-        configs.push_back(ray::rayPartitionConfig(p, w, h));
-    configs.push_back(ray::splitRayConfig(w, h));
+    const int w = 6, h = 6;
+    const WorkloadSize size{.side = w, .prims = 32};
+    const std::vector<std::string> configs = namesOf("ray");
 
     for (size_t ci = 0; ci < configs.size(); ci++) {
-        ray::RayRunResult ref;
+        RunResult ref;
         bool have_ref = false;
         for (int threads : matrixThreadCounts()) {
             CosimConfig cfg;
             cfg.threads = threads;
-            ray::RayRunResult r =
-                ray::runRayConfig(configs[ci], prims, &cfg);
+            RunResult r = runWorkload(configs[ci], size, cfg);
             if (!have_ref) {
                 ref = r;
                 have_ref = true;
-                EXPECT_EQ(ref.pixels.size(),
+                EXPECT_EQ(ref.output.size(),
                           static_cast<size_t>(w) * h);
                 continue;
             }
-            EXPECT_EQ(r.pixels, ref.pixels)
+            EXPECT_EQ(r.output, ref.output)
                 << "config " << ci << " threads=" << threads;
             EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
                 << "config " << ci << " threads=" << threads;
@@ -1044,13 +1036,12 @@ remoteTransportKinds()
 // compiled software backend where the host supports it.
 TEST(CoSimParallel, VorbisDeterminismAcrossPlatformModels)
 {
-    const int frames = 2;
-    vorbis::VorbisConfig config = vorbis::splitVorbisConfig();
+    const WorkloadSize size{.frames = 2};
+    const std::string config = "vorbis_split";
 
     CosimConfig ref_cfg; // ml507 preset, threads=1, in-thread
-    vorbis::VorbisRunResult ref =
-        vorbis::runVorbisConfig(config, frames, &ref_cfg);
-    EXPECT_FALSE(ref.pcm.empty());
+    RunResult ref = runWorkload(config, size, ref_cfg);
+    EXPECT_FALSE(ref.output.empty());
 
     std::vector<PlatformSpec> platforms{
         PlatformSpec::pcie(),
@@ -1061,9 +1052,8 @@ TEST(CoSimParallel, VorbisDeterminismAcrossPlatformModels)
             CosimConfig cfg;
             cfg.platform = plat;
             cfg.threads = threads;
-            vorbis::VorbisRunResult r =
-                vorbis::runVorbisConfig(config, frames, &cfg);
-            EXPECT_EQ(r.pcm, ref.pcm)
+            RunResult r = runWorkload(config, size, cfg);
+            EXPECT_EQ(r.output, ref.output)
                 << plat.name << " threads=" << threads;
             EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
                 << plat.name << " threads=" << threads;
@@ -1075,9 +1065,8 @@ TEST(CoSimParallel, VorbisDeterminismAcrossPlatformModels)
             cfg.platform = plat;
             cfg.defaultTransport = TransportKind::SharedMem;
             cfg.transportTimeoutMs = 60000;
-            vorbis::VorbisRunResult r =
-                vorbis::runVorbisConfig(config, frames, &cfg);
-            EXPECT_EQ(r.pcm, ref.pcm) << plat.name << " over shm";
+            RunResult r = runWorkload(config, size, cfg);
+            EXPECT_EQ(r.output, ref.output) << plat.name << " over shm";
             EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
                 << plat.name << " over shm";
         }
@@ -1085,9 +1074,8 @@ TEST(CoSimParallel, VorbisDeterminismAcrossPlatformModels)
             CosimConfig cfg;
             cfg.platform = plat;
             cfg.swBackend = SwBackend::Compiled;
-            vorbis::VorbisRunResult r =
-                vorbis::runVorbisConfig(config, frames, &cfg);
-            EXPECT_EQ(r.pcm, ref.pcm) << plat.name << " compiled";
+            RunResult r = runWorkload(config, size, cfg);
+            EXPECT_EQ(r.output, ref.output) << plat.name << " compiled";
             EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
                 << plat.name << " compiled";
         }
@@ -1134,26 +1122,21 @@ TEST(CoSimTransport, SoftwareDomainOverrideIsRejected)
 
 TEST(CoSimTransport, VorbisDeterminismMatrix)
 {
-    const int frames = 2;
-    std::vector<vorbis::VorbisConfig> configs;
-    configs.push_back(
-        vorbis::partitionConfig(vorbis::VorbisPartition::B));
+    const WorkloadSize size{.frames = 2};
     // The per-stage split: several hardware domains, so the remote
     // flavors run multiple partition children at once.
-    configs.push_back(vorbis::splitVorbisConfig());
+    const std::vector<std::string> configs{"vorbis_B", "vorbis_split"};
     serve::CompileCache cache;  // the shm x compiled-hw leg
 
     for (size_t ci = 0; ci < configs.size(); ci++) {
-        vorbis::VorbisRunResult ref =
-            vorbis::runVorbisConfig(configs[ci], frames);
-        EXPECT_FALSE(ref.pcm.empty());
+        RunResult ref = runWorkload(configs[ci], size);
+        EXPECT_FALSE(ref.output.empty());
         for (TransportKind kind : remoteTransportKinds()) {
             CosimConfig cfg;
             cfg.defaultTransport = kind;
             cfg.transportTimeoutMs = 60000;
-            vorbis::VorbisRunResult r = vorbis::runVorbisConfig(
-                configs[ci], frames, &cfg);
-            EXPECT_EQ(r.pcm, ref.pcm)
+            RunResult r = runWorkload(configs[ci], size, cfg);
+            EXPECT_EQ(r.output, ref.output)
                 << "config " << ci << " over " << transportName(kind);
             EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
                 << "config " << ci << " over " << transportName(kind);
@@ -1176,9 +1159,9 @@ TEST(CoSimTransport, VorbisDeterminismMatrix)
             provided++;
             return cache.get(prog, opts);
         };
-        vorbis::VorbisRunResult r =
-            vorbis::runVorbisConfig(configs[ci], frames, &cfg);
-        EXPECT_EQ(r.pcm, ref.pcm) << "config " << ci << " shm x compiled";
+        RunResult r = runWorkload(configs[ci], size, cfg);
+        EXPECT_EQ(r.output, ref.output)
+            << "config " << ci << " shm x compiled";
         EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
             << "config " << ci << " shm x compiled";
         EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
@@ -1194,21 +1177,17 @@ TEST(CoSimTransport, VorbisDeterminismMatrix)
 
 TEST(CoSimTransport, RayDeterminismMatrix)
 {
-    const int w = 6, h = 6, prims = 32;
-    std::vector<ray::RayConfig> configs;
-    configs.push_back(
-        ray::rayPartitionConfig(ray::RayPartition::C, w, h));
-    configs.push_back(ray::splitRayConfig(w, h));
+    const WorkloadSize size{.side = 6, .prims = 32};
+    const std::vector<std::string> configs{"ray_C", "ray_split"};
 
     for (size_t ci = 0; ci < configs.size(); ci++) {
-        ray::RayRunResult ref = ray::runRayConfig(configs[ci], prims);
+        RunResult ref = runWorkload(configs[ci], size);
         for (TransportKind kind : remoteTransportKinds()) {
             CosimConfig cfg;
             cfg.defaultTransport = kind;
             cfg.transportTimeoutMs = 60000;
-            ray::RayRunResult r =
-                ray::runRayConfig(configs[ci], prims, &cfg);
-            EXPECT_EQ(r.pixels, ref.pixels)
+            RunResult r = runWorkload(configs[ci], size, cfg);
+            EXPECT_EQ(r.output, ref.output)
                 << "config " << ci << " over " << transportName(kind);
             EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
                 << "config " << ci << " over " << transportName(kind);

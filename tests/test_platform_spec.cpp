@@ -17,7 +17,7 @@
 #include "core/elaborate.hpp"
 #include "hwsim/timing.hpp"
 #include "platform/platform_spec.hpp"
-#include "vorbis/partitions.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace {
@@ -216,19 +216,17 @@ TEST(PlatformSpec, HwDelayModelThreadsIntoTimingEstimate)
 
 TEST(PlatformSpec, HeterogeneousTopologyChangesOccupancyNotOutputs)
 {
-    const int frames = 2;
+    const WorkloadSize size{.frames = 2};
     CosimConfig base_cfg; // ml507 preset by default
-    vorbis::VorbisRunResult base = vorbis::runVorbisConfig(
-        vorbis::splitVorbisConfig(), frames, &base_cfg);
+    RunResult base = runWorkload("vorbis_split", size, base_cfg);
 
     CosimConfig het_cfg;
     het_cfg.platform = loadPlatformSpec(
         BCL_SRC_DIR "/../configs/het_onchip_offchip.config");
-    vorbis::VorbisRunResult het = vorbis::runVorbisConfig(
-        vorbis::splitVorbisConfig(), frames, &het_cfg);
+    RunResult het = runWorkload("vorbis_split", size, het_cfg);
 
     // Latency-insensitive: identical outputs under any link timing.
-    EXPECT_EQ(het.pcm, base.pcm);
+    EXPECT_EQ(het.output, base.output);
 
     // But the topology section charges SW crossings to off_chip and
     // HW<->HW links to on_chip, and occupancy shifts accordingly.

@@ -9,7 +9,7 @@
 #include <cmath>
 
 #include "ray/native.hpp"
-#include "ray/partitions.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace ray {
@@ -148,29 +148,29 @@ TEST(RayPartition, FullSoftwareMatchesNativeImage)
     RenderResult native =
         renderNative(scene, bvh, makeCamera(), w, h);
 
-    RayRunResult a = runRayPartition(RayPartition::A, w, h, prims);
-    ASSERT_EQ(a.pixels.size(), native.pixels.size());
+    RunResult a = runWorkload("ray_A", {.side = w, .prims = prims});
+    ASSERT_EQ(a.output.size(), native.pixels.size());
     for (size_t i = 0; i < native.pixels.size(); i++)
-        ASSERT_EQ(a.pixels[i], native.pixels[i]) << "pixel " << i;
+        ASSERT_EQ(a.output[i], native.pixels[i]) << "pixel " << i;
     EXPECT_EQ(a.messages, 0u);
     EXPECT_GT(a.fpgaCycles, 0u);
 }
 
 TEST(RayPartition, EveryPartitionRendersIdenticalImage)
 {
-    const int w = 10, h = 10, prims = 64;
-    RayRunResult ref = runRayPartition(RayPartition::A, w, h, prims);
-    for (RayPartition p : allRayPartitions()) {
-        if (p == RayPartition::A)
+    const WorkloadSize size{.side = 10, .prims = 64};
+    RunResult ref = runWorkload("ray_A", size);
+    for (const WorkloadPartition &p : rayWorkload().partitions) {
+        if (p.name == "A")
             continue;
-        RayRunResult r = runRayPartition(p, w, h, prims);
-        ASSERT_EQ(r.pixels.size(), ref.pixels.size());
-        for (size_t i = 0; i < ref.pixels.size(); i++) {
-            ASSERT_EQ(r.pixels[i], ref.pixels[i])
-                << rayPartitionName(p) << " pixel " << i;
+        RunResult r = runWorkload(rayWorkload(), p.domains, size);
+        ASSERT_EQ(r.output.size(), ref.output.size());
+        for (size_t i = 0; i < ref.output.size(); i++) {
+            ASSERT_EQ(r.output[i], ref.output[i])
+                << p.name << " pixel " << i;
         }
-        EXPECT_GT(r.messages, 0u) << rayPartitionName(p);
-        EXPECT_GT(r.hwRuleFires, 0u) << rayPartitionName(p);
+        EXPECT_GT(r.messages, 0u) << p.name;
+        EXPECT_GT(r.hwRuleFires, 0u) << p.name;
     }
 }
 
@@ -178,10 +178,10 @@ TEST(RayPartition, CommunicationVolumeOrdering)
 {
     // B crosses per node test, D per leaf test, C once per ray:
     // message counts must order B > D > C.
-    const int w = 8, h = 8, prims = 64;
-    RayRunResult rb = runRayPartition(RayPartition::B, w, h, prims);
-    RayRunResult rc = runRayPartition(RayPartition::C, w, h, prims);
-    RayRunResult rd = runRayPartition(RayPartition::D, w, h, prims);
+    const WorkloadSize size{.side = 8, .prims = 64};
+    RunResult rb = runWorkload("ray_B", size);
+    RunResult rc = runWorkload("ray_C", size);
+    RunResult rd = runWorkload("ray_D", size);
     EXPECT_GT(rb.messages, rd.messages);
     EXPECT_GT(rd.messages, rc.messages);
 }

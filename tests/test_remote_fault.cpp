@@ -10,7 +10,8 @@
  *     timeout — never a hang, never a second error;
  *   - an ABI or program-signature mismatch is refused during the
  *     handshake, before any payload flows (exercised through the
- *     RemoteOptions hello overrides);
+ *     RemoteOptions hello overrides) — including two partitions that
+ *     differ only in the scene their block RAMs were built with;
  *   - an exception inside the partition child reaches the parent as
  *     one FatalError carrying the child's diagnostic, not as a
  *     transport timeout;
@@ -42,7 +43,7 @@
 #include "core/partition.hpp"
 #include "platform/cosim.hpp"
 #include "serve/pool.hpp"
-#include "vorbis/partitions.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace {
@@ -256,6 +257,41 @@ TEST(RemoteFault, ProgramSignatureMismatchIsRefusedBeforePayload)
     }
 }
 
+/**
+ * The signature covers initial state: two ray-C hardware partitions
+ * built from different seeds have identical structure but different
+ * scenes in their BVH/scene block RAMs. A host holding one scene must
+ * refuse a coordinator that elaborated the other, or the coordinator
+ * would silently receive pixels of the wrong scene.
+ */
+TEST(RemoteFault, SceneMismatchIsRefusedBeforePayload)
+{
+    const NamedWorkload &c = findWorkload("ray_C");
+    const WorkloadSize size{.side = 4, .prims = 16};
+    PartitionResult a =
+        partitionWorkload(*c.workload, c.partition->domains, size, 1);
+    PartitionResult b =
+        partitionWorkload(*c.workload, c.partition->domains, size, 2);
+    const ElabProgram &hw_a = a.part("HW").prog;
+    const ElabProgram &hw_b = b.part("HW").prog;
+    ASSERT_EQ(hw_a.prims.size(), hw_b.prims.size());
+    EXPECT_NE(programSignature(hw_a), programSignature(hw_b));
+
+    RemoteOptions opts;
+    opts.traced = false;
+    opts.helloHashOverride = programSignature(hw_b);
+    try {
+        RemoteHwPartition proxy(hw_a, TransportKind::SharedMem, "HW",
+                                opts);
+        FAIL() << "a hello carrying the other scene's signature was "
+                  "accepted";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("refused"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("signature"), std::string::npos) << msg;
+    }
+}
+
 TEST(RemoteFault, ChildExceptionIsReportedNotTimedOut)
 {
     Program p = makeLookupProgram();
@@ -367,14 +403,14 @@ TEST(RemoteFault, TruncatedSliceReportIsRejected)
 TEST(RemoteFault, DeadRemoteSessionFailsAloneWhilePoolDrains)
 {
     const int frames = 2;
-    vorbis::VorbisConfig vcfg =
-        vorbis::partitionConfig(vorbis::VorbisPartition::B);
-    vorbis::VorbisServeSetup setup =
-        vorbis::makeVorbisServeSetup(vcfg);
+    const NamedWorkload &b = findWorkload("vorbis_B");
+    const WorkloadSize size{.frames = frames};
+    PartitionResult parts = partitionWorkload(
+        *b.workload, b.partition->domains, size, b.workload->defaultSeed);
 
     // The hardware domains of this partitioning (every non-SW part).
     std::vector<std::string> hw_domains;
-    for (const auto &part : setup.parts.parts) {
+    for (const auto &part : parts.parts) {
         if (part.domain != "SW")
             hw_domains.push_back(part.domain);
     }
@@ -387,19 +423,10 @@ TEST(RemoteFault, DeadRemoteSessionFailsAloneWhilePoolDrains)
     SessionManager mgr({2, {}});
     std::vector<std::shared_ptr<Session>> sessions;
     for (int i = 0; i < 4; i++) {
-        auto state = vorbis::makeVorbisStreamState(
-            frames, 300 + static_cast<std::uint64_t>(i));
-        StreamSpec spec;
-        spec.driver = vorbis::makeVorbisStreamDriver(
-            state, setup.pushMethod);
-        int audio = setup.audioPrim;
-        spec.progress = [audio](CoSim &cs) {
-            return static_cast<std::uint64_t>(
-                cs.storeOf("SW").at(audio).queue.size());
-        };
-        spec.target = static_cast<std::uint64_t>(frames);
-        sessions.push_back(
-            mgr.startSession(setup.parts, cfg, std::move(spec)));
+        sessions.push_back(mgr.startSession(
+            parts, cfg,
+            b.workload->stream(parts, size,
+                               300 + static_cast<std::uint64_t>(i))));
     }
 
     // Kill the last session's remote children. It was queued behind
@@ -418,13 +445,12 @@ TEST(RemoteFault, DeadRemoteSessionFailsAloneWhilePoolDrains)
 
     for (int i = 0; i < 3; i++) {
         ASSERT_TRUE(sessions[static_cast<size_t>(i)]->finished());
-        std::vector<std::int32_t> got = vorbis::extractPcm(
-            sessions[static_cast<size_t>(i)]->cosim(),
-            setup.audioPrim);
-        vorbis::VorbisRunResult want = vorbis::runVorbisConfig(
-            vcfg, frames, nullptr,
+        std::vector<std::uint32_t> got = b.workload->output(
+            sessions[static_cast<size_t>(i)]->cosim(), parts);
+        RunResult want = runWorkload(
+            "vorbis_B", size, CosimConfig{},
             300 + static_cast<std::uint64_t>(i));
-        EXPECT_EQ(got, want.pcm)
+        EXPECT_EQ(got, want.output)
             << "healthy neighbor " << i
             << " diverged after a sibling's remote died";
     }

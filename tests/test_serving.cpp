@@ -29,7 +29,7 @@
 #include "common/logging.hpp"
 #include "platform/cosim.hpp"
 #include "serve/pool.hpp"
-#include "vorbis/partitions.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace {
@@ -57,9 +57,31 @@ poolWidths()
     return widths;
 }
 
+/** The served workload: full-software Vorbis. */
+const Workload &
+served()
+{
+    return *findWorkload("vorbis_F").workload;
+}
+
+/** The partitioning every session of the served workload shares. */
+PartitionResult
+servedParts()
+{
+    return partitionWorkload(served(), {}, {}, served().defaultSeed);
+}
+
+/** Stream @p seed of @p frames frames over @p parts. */
+StreamSpec
+servedStream(const PartitionResult &parts, int frames,
+             std::uint64_t seed)
+{
+    return served().stream(parts, {.frames = frames}, seed);
+}
+
 struct StreamResult
 {
-    std::vector<std::int32_t> pcm;
+    std::vector<std::uint32_t> pcm;
     std::uint64_t rulesFired = 0;
 
     bool
@@ -69,7 +91,7 @@ struct StreamResult
     }
 };
 
-/** Solo serial oracle: runVorbisConfig builds its own program,
+/** Solo serial oracle: runWorkload builds its own program,
  *  partitioning and (sequential) cosim for the same seed. */
 StreamResult
 soloReference(SwBackend backend, int frames, std::uint64_t seed)
@@ -83,16 +105,16 @@ soloReference(SwBackend backend, int frames, std::uint64_t seed)
                               const GenccOptions &o) {
         return sharedCache().get(p, o);
     };
-    vorbis::VorbisRunResult r = vorbis::runVorbisConfig(
-        vorbis::VorbisConfig{}, frames, &scfg, seed);
-    return {r.pcm, r.swRulesFired};
+    RunResult r =
+        runWorkload("vorbis_F", {.frames = frames}, scfg, seed);
+    return {r.output, r.swRulesFired};
 }
 
 StreamResult
-sessionResult(Session &s, int audio_prim)
+sessionResult(Session &s, const PartitionResult &parts)
 {
     StreamResult r;
-    r.pcm = vorbis::extractPcm(s.cosim(), audio_prim);
+    r.pcm = served().output(s.cosim(), parts);
     r.rulesFired =
         s.cosim().swCompiled()
             ? s.cosim().swCompiled()->rulesFired()
@@ -113,7 +135,7 @@ class ServingDeterminism : public ::testing::TestWithParam<SwBackend>
     }
 
     CosimConfig
-    baseConfig(const vorbis::VorbisServeSetup &setup) const
+    baseConfig(const PartitionResult &parts) const
     {
         CosimConfig cfg;
         cfg.swBackend = GetParam();
@@ -121,7 +143,7 @@ class ServingDeterminism : public ::testing::TestWithParam<SwBackend>
             GenccOptions gopts;
             gopts.mode = cfg.swGenMode;
             cfg.swArtifact = sharedCache().get(
-                setup.parts.part("SW").prog, gopts);
+                parts.part("SW").prog, gopts);
         }
         return cfg;
     }
@@ -137,8 +159,8 @@ class ServingDeterminism : public ::testing::TestWithParam<SwBackend>
 TEST_P(ServingDeterminism, ConcurrentStreamsMatchSoloSerialRuns)
 {
     const int frames = 3;
-    vorbis::VorbisServeSetup setup = vorbis::makeVorbisServeSetup();
-    CosimConfig cfg = baseConfig(setup);
+    PartitionResult parts = servedParts();
+    CosimConfig cfg = baseConfig(parts);
 
     // References computed once per seed (64 covers every N).
     std::map<std::uint64_t, StreamResult> refs;
@@ -157,19 +179,10 @@ TEST_P(ServingDeterminism, ConcurrentStreamsMatchSoloSerialRuns)
             SessionManager mgr({workers, {}});
             std::vector<std::shared_ptr<Session>> sessions;
             for (int i = 0; i < n; i++) {
-                auto state = vorbis::makeVorbisStreamState(
-                    frames, 7000 + static_cast<std::uint64_t>(i));
-                StreamSpec spec;
-                spec.driver = vorbis::makeVorbisStreamDriver(
-                    state, setup.pushMethod);
-                int audio = setup.audioPrim;
-                spec.progress = [audio](CoSim &cs) {
-                    return static_cast<std::uint64_t>(
-                        cs.storeOf("SW").at(audio).queue.size());
-                };
-                spec.target = static_cast<std::uint64_t>(frames);
                 sessions.push_back(mgr.startSession(
-                    setup.parts, cfg, std::move(spec)));
+                    parts, cfg,
+                    servedStream(parts, frames,
+                                 7000 + static_cast<std::uint64_t>(i))));
             }
             mgr.drain();
 
@@ -192,8 +205,7 @@ TEST_P(ServingDeterminism, ConcurrentStreamsMatchSoloSerialRuns)
                 ASSERT_TRUE(sessions[static_cast<size_t>(i)]
                                 ->finished());
                 StreamResult got = sessionResult(
-                    *sessions[static_cast<size_t>(i)],
-                    setup.audioPrim);
+                    *sessions[static_cast<size_t>(i)], parts);
                 const StreamResult &want =
                     reference(7000 + static_cast<std::uint64_t>(i));
                 ASSERT_FALSE(want.pcm.empty());
@@ -230,28 +242,20 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ServingPool, PoisonedSessionDoesNotWedgeThePool)
 {
     const int frames = 2;
-    vorbis::VorbisServeSetup setup = vorbis::makeVorbisServeSetup();
+    PartitionResult parts = servedParts();
     CosimConfig cfg;  // interpreted: no compiler needed
 
     SessionManager mgr({2, {}});
     std::vector<std::shared_ptr<Session>> sessions;
     for (int i = 0; i < 4; i++) {
-        auto state = vorbis::makeVorbisStreamState(
-            frames, 100 + static_cast<std::uint64_t>(i));
-        StreamSpec spec;
-        spec.driver = vorbis::makeVorbisStreamDriver(
-            state, setup.pushMethod);
-        int audio = setup.audioPrim;
-        spec.progress = [audio](CoSim &cs) {
-            return static_cast<std::uint64_t>(
-                cs.storeOf("SW").at(audio).queue.size());
-        };
+        StreamSpec spec = servedStream(
+            parts, frames, 100 + static_cast<std::uint64_t>(i));
         // Session 2 wants one frame more than its driver will feed:
         // its cosim quiesces short of the target -> deadlock fatal.
         spec.target = static_cast<std::uint64_t>(
             i == 2 ? frames + 1 : frames);
         sessions.push_back(
-            mgr.startSession(setup.parts, cfg, std::move(spec)));
+            mgr.startSession(parts, cfg, std::move(spec)));
     }
 
     EXPECT_THROW(mgr.drain(), Error);
@@ -261,8 +265,8 @@ TEST(ServingPool, PoisonedSessionDoesNotWedgeThePool)
     for (int i = 0; i < 4; i++) {
         if (i == 2)
             continue;
-        StreamResult got = sessionResult(
-            *sessions[static_cast<size_t>(i)], setup.audioPrim);
+        StreamResult got =
+            sessionResult(*sessions[static_cast<size_t>(i)], parts);
         StreamResult want = soloReference(
             SwBackend::Interpreted, frames,
             100 + static_cast<std::uint64_t>(i));
@@ -274,10 +278,10 @@ TEST(ServingPool, PoisonedSessionDoesNotWedgeThePool)
  *  (a target without a metric would spin forever). */
 TEST(ServingPool, SessionRequiresProgressCounter)
 {
-    vorbis::VorbisServeSetup setup = vorbis::makeVorbisServeSetup();
+    PartitionResult parts = servedParts();
     StreamSpec spec;
     spec.target = 1;
-    EXPECT_THROW(Session(0, setup.parts, CosimConfig{},
+    EXPECT_THROW(Session(0, parts, CosimConfig{},
                          std::move(spec)),
                  Error);
 }
@@ -303,10 +307,10 @@ TEST(ServingSoak, SeededCreateDestroyChurn)
 
     const bool compiled_ok =
         CompiledPartition::hostCompilerAvailable();
-    vorbis::VorbisServeSetup setup = vorbis::makeVorbisServeSetup();
+    PartitionResult parts = servedParts();
     std::shared_ptr<const CompiledArtifact> artifact;
     if (compiled_ok)
-        artifact = sharedCache().get(setup.parts.part("SW").prog,
+        artifact = sharedCache().get(parts.part("SW").prog,
                                      GenccOptions{});
 
     // Small seed pool so references amortize across iterations.
@@ -335,19 +339,8 @@ TEST(ServingSoak, SeededCreateDestroyChurn)
         for (int i = 0; i < n; i++) {
             const std::uint64_t seed = rng() % 8;  // pool of 8
             seeds.push_back(seed);
-            auto state =
-                vorbis::makeVorbisStreamState(frames, seed);
-            StreamSpec spec;
-            spec.driver = vorbis::makeVorbisStreamDriver(
-                state, setup.pushMethod);
-            int audio = setup.audioPrim;
-            spec.progress = [audio](CoSim &cs) {
-                return static_cast<std::uint64_t>(
-                    cs.storeOf("SW").at(audio).queue.size());
-            };
-            spec.target = static_cast<std::uint64_t>(frames);
-            sessions.push_back(
-                mgr.startSession(setup.parts, cfg, std::move(spec)));
+            sessions.push_back(mgr.startSession(
+                parts, cfg, servedStream(parts, frames, seed)));
         }
         if (abandon) {
             // Destroy the manager with work still queued: the pool
@@ -368,8 +361,7 @@ TEST(ServingSoak, SeededCreateDestroyChurn)
                               soloReference(cfg.swBackend, frames,
                                             seeds[pick]))
                      .first;
-        StreamResult got =
-            sessionResult(*sessions[pick], setup.audioPrim);
+        StreamResult got = sessionResult(*sessions[pick], parts);
         ASSERT_EQ(got, it->second)
             << "soak iteration " << iterations << " (seed "
             << soak_seed << ") diverged";

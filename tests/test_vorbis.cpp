@@ -13,6 +13,7 @@
 
 #include "vorbis/native.hpp"
 #include "vorbis/partitions.hpp"
+#include "workloads/workload.hpp"
 
 namespace bcl {
 namespace vorbis {
@@ -113,10 +114,11 @@ TEST(VorbisPartition, FullSoftwareMatchesNativeBitExactly)
     const int frames = 6;
     auto inputs = makeFrames(frames);
     NativeResult native = runNativeBackend(inputs);
-    VorbisRunResult f = runVorbisPartition(VorbisPartition::F, frames);
-    ASSERT_EQ(f.pcm.size(), native.pcm.size());
+    RunResult f = runWorkload("vorbis_F", {.frames = frames});
+    ASSERT_EQ(f.output.size(), native.pcm.size());
     for (size_t i = 0; i < native.pcm.size(); i++)
-        ASSERT_EQ(f.pcm[i], native.pcm[i]) << "sample " << i;
+        ASSERT_EQ(static_cast<std::int32_t>(f.output[i]), native.pcm[i])
+            << "sample " << i;
     EXPECT_GT(f.fpgaCycles, 0u);
     EXPECT_EQ(f.messages, 0u);  // no partition boundary in F
 }
@@ -124,26 +126,27 @@ TEST(VorbisPartition, FullSoftwareMatchesNativeBitExactly)
 TEST(VorbisPartition, EveryPartitionProducesIdenticalPcm)
 {
     const int frames = 5;
-    VorbisRunResult ref = runVorbisPartition(VorbisPartition::F, frames);
-    for (VorbisPartition p : allVorbisPartitions()) {
-        if (p == VorbisPartition::F)
+    RunResult ref = runWorkload("vorbis_F", {.frames = frames});
+    for (const WorkloadPartition &p : vorbisWorkload().partitions) {
+        if (p.name == "F")
             continue;
-        VorbisRunResult r = runVorbisPartition(p, frames);
-        ASSERT_EQ(r.pcm.size(), ref.pcm.size())
-            << "partition " << partitionName(p);
-        for (size_t i = 0; i < ref.pcm.size(); i++) {
-            ASSERT_EQ(r.pcm[i], ref.pcm[i])
-                << "partition " << partitionName(p) << " sample " << i;
+        RunResult r = runWorkload(vorbisWorkload(), p.domains,
+                                  {.frames = frames});
+        ASSERT_EQ(r.output.size(), ref.output.size())
+            << "partition " << p.name;
+        for (size_t i = 0; i < ref.output.size(); i++) {
+            ASSERT_EQ(r.output[i], ref.output[i])
+                << "partition " << p.name << " sample " << i;
         }
-        EXPECT_GT(r.messages, 0u) << partitionName(p);
+        EXPECT_GT(r.messages, 0u) << p.name;
     }
 }
 
 TEST(VorbisPartition, HardwarePartitionsMoveTraffic)
 {
     const int frames = 4;
-    VorbisRunResult b = runVorbisPartition(VorbisPartition::B, frames);
-    VorbisRunResult e = runVorbisPartition(VorbisPartition::E, frames);
+    RunResult b = runWorkload("vorbis_B", {.frames = frames});
+    RunResult e = runWorkload("vorbis_E", {.frames = frames});
     // B crosses the cut 8x per frame with 32-word sub-blocks.
     EXPECT_EQ(b.messages, static_cast<std::uint64_t>(8 * frames));
     EXPECT_EQ(b.channelWords,
@@ -158,7 +161,7 @@ TEST(VorbisPartition, CombIfftMatchesPipelinedIfft)
 {
     const int frames = 3;
     CosimConfig cfg;
-    VorbisRunResult pipe = runVorbisPartition(VorbisPartition::F, frames);
+    RunResult pipe = runWorkload("vorbis_F", {.frames = frames});
 
     Program prog = [&] {
         VorbisConfig c = partitionConfig(VorbisPartition::F);
@@ -196,12 +199,12 @@ TEST(VorbisPartition, CombIfftMatchesPipelinedIfft)
         return cs.storeOf("SW").at(audio).queue.size() ==
                static_cast<size_t>(frames);
     });
-    std::vector<std::int32_t> comb_pcm;
+    std::vector<std::uint32_t> comb_pcm;
     for (const auto &v : cosim.storeOf("SW").at(audio).queue) {
         for (const auto &s : v.elems())
-            comb_pcm.push_back(static_cast<std::int32_t>(s.asInt()));
+            comb_pcm.push_back(static_cast<std::uint32_t>(s.asInt()));
     }
-    EXPECT_EQ(comb_pcm, pipe.pcm);
+    EXPECT_EQ(comb_pcm, pipe.output);
 }
 
 } // namespace

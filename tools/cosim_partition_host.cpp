@@ -20,91 +20,29 @@
  * Run: cosim_partition_host --workload vorbis_B --domain HW
  *          [--port 0] [--once]
  *      cosim_partition_host --workload ray_split --domain HWT
- *          [--ray-size 32] [--ray-prims 1024] [--seed 12345]
+ *          [--ray-size 32] [--ray-prims 1024] [--seed N]
  *
  * Prints "LISTENING <port>" on stdout once bound; serves one
  * connection at a time until killed (or exactly one with --once).
- * Workload names match bench/cosim_parallel: vorbis_<letter>,
- * vorbis_split, ray_<letter>, ray_split.
+ * Workload names and the default seed come from the workload
+ * registry (workloads/workload.hpp): vorbis_<letter>, vorbis_split,
+ * ray_<letter>, ray_split — the names every bench uses.
  */
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
-#include "common/logging.hpp"
-#include "core/domains.hpp"
-#include "core/elaborate.hpp"
-#include "core/partition.hpp"
 #include "hwsim/clocksim.hpp"
 #include "platform/net_transport.hpp"
 #include "platform/remote_partition.hpp"
-#include "ray/partitions.hpp"
-#include "vorbis/partitions.hpp"
+#include "workloads/workload.hpp"
 
 using namespace bcl;
 
 namespace {
-
-/** The elaborated partition a workload name + domain denotes. */
-ElabProgram
-buildPartition(const std::string &workload, const std::string &domain,
-               int ray_size, int ray_prims, std::uint64_t seed)
-{
-    ElabProgram elab;
-    if (workload.rfind("vorbis_", 0) == 0) {
-        std::string which = workload.substr(7);
-        vorbis::VorbisConfig vcfg;
-        if (which == "split") {
-            vcfg = vorbis::splitVorbisConfig();
-        } else {
-            bool found = false;
-            for (vorbis::VorbisPartition p :
-                 vorbis::allVorbisPartitions()) {
-                if (which == vorbis::partitionName(p)) {
-                    vcfg = vorbis::partitionConfig(p);
-                    found = true;
-                }
-            }
-            if (!found)
-                fatal("unknown vorbis partition '" + which + "'");
-        }
-        vorbis::VorbisServeSetup setup =
-            vorbis::makeVorbisServeSetup(vcfg);
-        return setup.parts.part(domain).prog;
-    }
-    if (workload.rfind("ray_", 0) == 0) {
-        std::string which = workload.substr(4);
-        ray::RayConfig rcfg;
-        if (which == "split") {
-            rcfg = ray::splitRayConfig(ray_size, ray_size);
-        } else {
-            bool found = false;
-            for (ray::RayPartition p : ray::allRayPartitions()) {
-                if (which == ray::rayPartitionName(p)) {
-                    rcfg = ray::rayPartitionConfig(p, ray_size,
-                                                   ray_size);
-                    found = true;
-                }
-            }
-            if (!found)
-                fatal("unknown ray partition '" + which + "'");
-        }
-        std::vector<ray::Sphere> scene =
-            ray::makeScene(ray_prims, seed);
-        ray::Bvh bvh = ray::buildBvh(scene);
-        ray::Camera cam = ray::makeCamera();
-        Program prog = ray::makeRayProgram(rcfg, scene, bvh, cam);
-        ElabProgram ep = elaborate(prog);
-        DomainAssignment doms = inferDomains(ep);
-        PartitionResult parts = partitionProgram(ep, doms);
-        return parts.part(domain).prog;
-    }
-    fatal("unknown workload '" + workload +
-          "' (expected vorbis_<letter>|vorbis_split|ray_<letter>|"
-          "ray_split)");
-}
 
 class HostLink final : public RemoteLink
 {
@@ -132,9 +70,8 @@ main(int argc, char **argv)
     std::string workload;
     std::string domain = "HW";
     int port = 0;
-    int ray_size = 32;
-    int ray_prims = 1024;
-    std::uint64_t seed = 12345;
+    WorkloadSize size;
+    std::optional<std::uint64_t> seed;
     int timeout_ms = 30000;
     bool once = false;
     for (int i = 1; i < argc; i++) {
@@ -146,10 +83,10 @@ main(int argc, char **argv)
             port = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--ray-size") == 0 &&
                  i + 1 < argc)
-            ray_size = std::atoi(argv[++i]);
+            size.side = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--ray-prims") == 0 &&
                  i + 1 < argc)
-            ray_prims = std::atoi(argv[++i]);
+            size.prims = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
             seed = static_cast<std::uint64_t>(
                 std::strtoull(argv[++i], nullptr, 10));
@@ -171,8 +108,12 @@ main(int argc, char **argv)
     }
     (void)port;  // ephemeral only: the coordinator reads our stdout
 
+    const NamedWorkload &nw = findWorkload(workload);
     ElabProgram part =
-        buildPartition(workload, domain, ray_size, ray_prims, seed);
+        partitionWorkload(*nw.workload, nw.partition->domains, size,
+                          seed.value_or(nw.workload->defaultSeed))
+            .part(domain)
+            .prog;
     std::printf("partition %s/%s: %zu prims, %zu rules, signature "
                 "%016llx, ABI %d\n",
                 workload.c_str(), domain.c_str(), part.prims.size(),
