@@ -234,10 +234,12 @@ BenchMain::parse(int argc, char **argv)
 
     if (hwBackend != "interpreted" && hwBackend != "compiled")
         usageError("unknown --hw-backend '" + hwBackend + "'");
-    if (transport != "inthread" && transport != "shm" && transport != "tcp")
-        usageError("unknown --transport '" + transport + "'");
+    try {
+        transportKind = parseTransportKind(transport);
+    } catch (const FatalError &e) {
+        usageError(e.what());
+    }
     compilerFallback(hwBackend, "hardware");
-    transportKind = parseTransportKind(transport);
     if (transportKind == TransportKind::Tcp && !netTransportAvailable()) {
         std::printf("loopback TCP unavailable in this sandbox — "
                     "falling back to the shm transport\n");

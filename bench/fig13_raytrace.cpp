@@ -10,7 +10,7 @@
  * because the savings in computation are outweighed by the incurred
  * cost of communication."
  *
- * Usage: fig13_raytrace [--size N] [--prims P]
+ * Usage: fig13_raytrace [--ray-size N] [--ray-prims N]
  *                       [--platform FILE|PRESET]
  * (defaults: 24x24 image, 1024 primitives - the paper's scene size -
  * on the ml507 platform model).
@@ -28,10 +28,8 @@ using namespace bcl::ray;
 int
 main(int argc, char **argv)
 {
-    BenchMain bench("fig13_raytrace", kPlatform);
+    BenchMain bench("fig13_raytrace", kRaySize | kRayPrims | kPlatform);
     bench.size = {.side = 24, .prims = 1024};
-    bench.option("--size", &bench.size.side);
-    bench.option("--prims", &bench.size.prims, "P");
     bench.parse(argc, argv);
     const int size = bench.size.side, prims = bench.size.prims;
     const CosimConfig cfg = bench.config();

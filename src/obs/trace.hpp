@@ -164,19 +164,17 @@ class TraceRecorder
 /** Shorthand for TraceRecorder::instance(). */
 TraceRecorder &trace();
 
-/** RAII span: begin at construction, end at destruction. The @p gate
- *  lets a call site thread a per-cosim/per-session trace knob
- *  through without a second branch shape (gate false = fully
- *  inert). */
+/** RAII span: begin at construction, end at destruction (inert while
+ *  the recorder is disabled). */
 class TraceSpan
 {
   public:
-    TraceSpan(const char *name, const char *cat, bool gate = true,
+    TraceSpan(const char *name, const char *cat,
               const char *arg_name = nullptr,
               std::int64_t arg_value = 0)
     {
         TraceRecorder &r = trace();
-        if (!gate || !r.enabled())
+        if (!r.enabled())
             return;
         open_ = true;
         name_ = name;

@@ -22,22 +22,19 @@ ChannelTransport::ChannelTransport(const ChannelSpec &spec,
                                    Store &tx_store, Store &rx_store,
                                    LinkArbiter &link_arb,
                                    const BusParams &bus_params,
-                                   bool threaded, bool traced)
+                                   bool threaded)
     : spec_(spec), txStore(tx_store), rxStore(rx_store), link(link_arb),
       bus(bus_params), threaded_(threaded),
       // Credits bound in-flight occupancy by the synchronizer
       // capacity, so the ring can never be asked to hold more.
       ring_(static_cast<size_t>(spec.capacity > 0 ? spec.capacity : 1)),
-      traced_(traced)
+      flowBase_(obs::TraceRecorder::nextFlowBase()),
+      occupancy_(obs::metrics().histogram(
+          "cosim.channel.occupancy",
+          obs::Histogram::exponentialBounds(1.0, 2.0, 12)))
 {
     if (spec_.txPrim < 0 || spec_.rxPrim < 0)
         panic("channel '" + spec_.name + "' endpoints unresolved");
-    if (traced_) {
-        flowBase_ = obs::TraceRecorder::nextFlowBase();
-        occupancy_ = &obs::metrics().histogram(
-            "cosim.channel.occupancy",
-            obs::Histogram::exponentialBounds(1.0, 2.0, 12));
-    }
 }
 
 int
@@ -69,11 +66,9 @@ ChannelTransport::pump(std::uint64_t now)
             if (!stalled_) {
                 stalled_ = true;
                 stats_.stallEvents++;
-                if (traced_) {
-                    obs::trace().instant(
-                        spec_.name.c_str(), "stall", "virtual_time",
-                        static_cast<std::int64_t>(now));
-                }
+                obs::trace().instant(spec_.name.c_str(), "stall",
+                                     "virtual_time",
+                                     static_cast<std::int64_t>(now));
             } else {
                 stats_.stallCycles += now - stalledSince_;
             }
@@ -116,12 +111,10 @@ ChannelTransport::pump(std::uint64_t now)
         }
         stats_.messages++;
         stats_.payloadWords += static_cast<std::uint64_t>(words);
-        if (traced_) {
-            // Pickup N pairs with delivery N (exactly-once, in
-            // order), so the flow arrow needs no state in the ring.
-            obs::trace().flowStart(spec_.name.c_str(), "channel",
-                                   flowBase_ + stats_.messages);
-        }
+        // Pickup N pairs with delivery N (exactly-once, in order),
+        // so the flow arrow needs no state in the ring.
+        obs::trace().flowStart(spec_.name.c_str(), "channel",
+                               flowBase_ + stats_.messages);
     }
 }
 
@@ -154,16 +147,12 @@ ChannelTransport::deliver(std::uint64_t now)
         if (threaded_)
             visible_--;
         any = true;
-        if (traced_) {
-            delivered_++;
-            obs::trace().flowEnd(spec_.name.c_str(), "channel",
-                                 flowBase_ + delivered_);
-        }
+        delivered_++;
+        obs::trace().flowEnd(spec_.name.c_str(), "channel",
+                             flowBase_ + delivered_);
     }
-    if (traced_ && any && occupancy_) {
-        occupancy_->observe(
-            static_cast<double>(rx.queue.size()));
-    }
+    if (any)
+        occupancy_.observe(static_cast<double>(rx.queue.size()));
     if (threaded_)
         lastRxSize_ = rx.queue.size();
     return any;

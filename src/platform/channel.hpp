@@ -97,16 +97,14 @@ class ChannelTransport
      * @param threaded Producer and consumer run on different worker
      *        threads: credits go through the atomic charge counter
      *        instead of reading the consumer queue directly.
-     * @param traced Emit pickup->deliver flow arrows, stall instants
-     *        and the occupancy histogram when the global recorder /
-     *        registry is enabled (CosimConfig::trace threads this
-     *        through; false makes every observability site inert so
-     *        e.g. only sampled serving sessions trace).
+     *
+     * Pickup->deliver flow arrows, stall instants and the occupancy
+     * histogram are emitted whenever the global recorder / registry
+     * is enabled.
      */
     ChannelTransport(const ChannelSpec &spec, Store &tx_store,
                      Store &rx_store, LinkArbiter &link,
-                     const BusParams &bus, bool threaded = false,
-                     bool traced = true);
+                     const BusParams &bus, bool threaded = false);
 
     /**
      * Producer end. Pick up messages staged in the producer half at
@@ -193,17 +191,16 @@ class ChannelTransport
     std::uint64_t lastPumpTime = 0;
     ChannelStats stats_;
 
-    // -- observability (inert unless traced_ AND the global recorder/
-    //    registry are enabled) ---------------------------------------
-    bool traced_;
+    // -- observability (inert unless the global recorder/registry is
+    //    enabled) -----------------------------------------------------
     /** Flow-id base unique to this transport; pickup N and delivery
      *  N share id flowBase_ + N (exactly-once in-order delivery
      *  makes the pairing exact across threads). */
-    std::uint64_t flowBase_ = 0;
+    std::uint64_t flowBase_;
     /** Consumer-end delivery sequence (consumer thread only). */
     std::uint64_t delivered_ = 0;
     /** Rx queue depth observed at delivery time. */
-    obs::Histogram *occupancy_ = nullptr;
+    obs::Histogram &occupancy_;
 };
 
 } // namespace bcl

@@ -15,6 +15,14 @@ namespace bcl {
 
 namespace {
 
+/** Max software rule firings per slice before hardware catches up
+ *  (bounds virtual-time skew); in parallel mode also the epoch
+ *  granularity between barriers. */
+constexpr int kSwQuantum = 64;
+
+/** Hard stop for the whole co-simulation, in FPGA cycles. */
+constexpr std::uint64_t kMaxFpgaCycles = 1ull << 40;
+
 /** Worker threads the config asks for (0 = one per core). */
 int
 requestedThreads(const CosimConfig &cfg)
@@ -45,29 +53,21 @@ CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
 {
     // Software domains always run in-thread — host drivers call into
     // them directly — so defaultTransport only moves HARDWARE domains
-    // out of process; naming a software domain in the per-domain
-    // override map is a configuration error.
+    // out of process; pointing a software domain at a remote host is
+    // a configuration error.
     bool any_remote = false;
-    int sw_domains = 0;
     for (const auto &part : parts.parts) {
         if (cfg.kindOf(part.domain) == DomainKind::Software) {
-            auto it = cfg.transports.find(part.domain);
-            if (it != cfg.transports.end() &&
-                it->second != TransportKind::InThread)
+            if (cfg.remoteEndpoints.count(part.domain))
                 fatal("CosimConfig: software domain '" + part.domain +
                       "' cannot run remotely — host drivers call "
                       "into it directly; only Hardware domains may "
-                      "use SharedMem/Tcp transports");
-            sw_domains++;
+                      "name a remoteEndpoint");
         } else if (cfg.transportOf(part.domain) !=
                    TransportKind::InThread) {
             any_remote = true;
         }
     }
-    if (cfg.swArtifact && sw_domains > 1)
-        fatal("CosimConfig::swArtifact is per-partition; this "
-              "PartitionResult has multiple software domains — use "
-              "compileProvider instead");
 
     // Parallel execution needs at least two domains to overlap; with
     // one domain (or threads == 1) the exact sequential loop runs and
@@ -108,7 +108,7 @@ CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
             chan, storeOf(chan.fromDomain), storeOf(chan.toDomain),
             *it->second,
             cfg.platform.resolveLink(chan.fromDomain, chan.toDomain),
-            parallel_, cfg.trace));
+            parallel_));
     }
 }
 
@@ -289,7 +289,7 @@ CoSim::tryDriver(SwProc &sw)
     std::uint64_t w = sw.driver.step(*sw.exec->port());
     if (w > 0) {
         sw.time += static_cast<double>(w) *
-                   (cfg.swCyclesPerWork / cfg.platform.cpuClockRatio);
+                   (kSwCyclesPerWork / cfg.platform.cpuClockRatio);
         sw.exec->poke();
         return true;
     }
@@ -297,7 +297,7 @@ CoSim::tryDriver(SwProc &sw)
     return false;
 }
 
-/** One software slice: up to swQuantum units of the executor's own
+/** One software slice: up to kSwQuantum units of the executor's own
  *  budget (ExecStep::consumed); the host driver runs when it idles. */
 bool
 CoSim::sliceSoftware(SwProc &sw)
@@ -305,7 +305,7 @@ CoSim::sliceSoftware(SwProc &sw)
     DomainExecutor &ex = *sw.exec;
     bool progress = false;
     int used = 0;
-    while (used < cfg.swQuantum) {
+    while (used < kSwQuantum) {
         // Pump on every step: a transfer deferred for credits must
         // start as soon as the consumer drains, even if no further
         // producer-side rule fires.
@@ -317,7 +317,7 @@ CoSim::sliceSoftware(SwProc &sw)
         }
         bool fed = ex.exchangeIn(*sw.store);
         ExecStep r = ex.step(
-            static_cast<std::uint64_t>(cfg.swQuantum - used));
+            static_cast<std::uint64_t>(kSwQuantum - used));
         bool produced = ex.exchangeOut(*sw.store);
         used += static_cast<int>(r.consumed);
         sw.time += r.cycles;
@@ -421,8 +421,8 @@ std::uint64_t
 CoSim::runSequential(const std::function<bool(CoSim &)> &done)
 {
     while (!done(*this)) {
-        if (now() > cfg.maxFpgaCycles)
-            fatal("co-simulation exceeded maxFpgaCycles");
+        if (now() > kMaxFpgaCycles)
+            fatal("co-simulation exceeded kMaxFpgaCycles");
 
         bool progress = false;
 
@@ -430,15 +430,13 @@ CoSim::runSequential(const std::function<bool(CoSim &)> &done)
         // so a serving session's timeline shows which domain each
         // stretch of cosim time went to.
         for (auto &sw : swProcs) {
-            obs::TraceSpan span(sw.domain.c_str(), "cosim.slice",
-                                cfg.trace);
+            obs::TraceSpan span(sw.domain.c_str(), "cosim.slice");
             progress |= sliceSoftware(sw);
         }
 
         const std::uint64_t horizon = hwHorizon();
         for (auto &hw : hwProcs) {
-            obs::TraceSpan span(hw.domain.c_str(), "cosim.slice",
-                                cfg.trace);
+            obs::TraceSpan span(hw.domain.c_str(), "cosim.slice");
             progress |= sliceHardware(hw, horizon);
         }
 
@@ -521,7 +519,7 @@ CoSim::sweepChannels()
 
 /**
  * The parallel engine: one worker per domain (round-robin when
- * domains outnumber threads), epoch barriers at swQuantum
+ * domains outnumber threads), epoch barriers at kSwQuantum
  * granularity. Within an epoch each worker advances only its own
  * partitions and touches only its own ends of the channel
  * transports; between epochs the coordinating thread (the caller)
@@ -561,7 +559,7 @@ CoSim::runParallel(const std::function<bool(CoSim &)> &done)
         static_cast<size_t>(W));
 
     auto worker = [&](int w) {
-        if (cfg.trace && obs::trace().enabled()) {
+        if (obs::trace().enabled()) {
             obs::trace().setThreadName("cosim.worker " +
                                        std::to_string(w));
         }
@@ -576,7 +574,7 @@ CoSim::runParallel(const std::function<bool(CoSim &)> &done)
                     // Span per partition slice: the trace shows which
                     // worker ran which domain for how long each epoch.
                     obs::TraceSpan span(procs[i].first->c_str(),
-                                        "cosim.slice", cfg.trace);
+                                        "cosim.slice");
                     progress |= procs[i].second();
                 }
                 if (progress)
@@ -610,12 +608,10 @@ CoSim::runParallel(const std::function<bool(CoSim &)> &done)
     };
 
     // Epoch wall time feeds the tuning loop: barrier overhead vs.
-    // slice width is exactly what swQuantum trades off.
-    obs::Histogram *epochHist =
-        cfg.trace ? &obs::metrics().histogram(
-                        "cosim.epoch.wall_us",
-                        obs::Histogram::exponentialBounds(1.0, 2.0, 22))
-                  : nullptr;
+    // slice width is exactly what kSwQuantum trades off.
+    obs::Histogram &epochHist = obs::metrics().histogram(
+        "cosim.epoch.wall_us",
+        obs::Histogram::exponentialBounds(1.0, 2.0, 22));
 
     std::string failure;
     std::exception_ptr workerError;
@@ -625,8 +621,8 @@ CoSim::runParallel(const std::function<bool(CoSim &)> &done)
             // start barrier, so predicates may read any store.
             if (done(*this))
                 break;
-            if (now() > cfg.maxFpgaCycles) {
-                failure = "co-simulation exceeded maxFpgaCycles";
+            if (now() > kMaxFpgaCycles) {
+                failure = "co-simulation exceeded kMaxFpgaCycles";
                 break;
             }
 
@@ -634,8 +630,7 @@ CoSim::runParallel(const std::function<bool(CoSim &)> &done)
 
             anyProgress.store(false, std::memory_order_relaxed);
             const bool obsOn =
-                cfg.trace && (obs::trace().enabled() ||
-                              obs::metrics().enabled());
+                obs::trace().enabled() || obs::metrics().enabled();
             std::chrono::steady_clock::time_point epochT0;
             if (obsOn) {
                 epochT0 = std::chrono::steady_clock::now();
@@ -647,7 +642,7 @@ CoSim::runParallel(const std::function<bool(CoSim &)> &done)
             endBarrier.arrive_and_wait();
             if (obsOn) {
                 obs::trace().end("epoch", "cosim");
-                epochHist->observe(
+                epochHist.observe(
                     std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - epochT0)
                         .count());

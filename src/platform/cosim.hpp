@@ -15,15 +15,19 @@
  * An optional SwDriver plays the role of the software "up the stack"
  * (the Vorbis front end invoking backend.input(frame)).
  *
- * Timing approximation: software runs in bounded quanta ahead of
- * hardware; because every cross-domain interface is a latency-
- * insensitive synchronizer, the quantum affects reported cycle counts
- * only within a pipeline batch, never functional results. Tests
- * verify bit-identical outputs across all partitionings of a program.
+ * Timing approximation: software runs in bounded quanta (kSwQuantum,
+ * 64 rule firings) ahead of hardware; because every cross-domain
+ * interface is a latency-insensitive synchronizer, the quantum
+ * affects reported cycle counts only within a pipeline batch, never
+ * functional results (§4.4). The quantum and the other timing
+ * calibrations (kSwCyclesPerWork below, the per-firing charge of
+ * compiled software) are constants: no caller needs another value.
+ * Tests verify bit-identical outputs across all partitionings of a
+ * program.
  *
  * Parallelism (CosimConfig::threads): with threads > 1 every
  * partition advances on its own worker thread, synchronized by epoch
- * barriers at the swQuantum granularity; channel messages cross
+ * barriers at the kSwQuantum granularity; channel messages cross
  * between workers over thread-safe SPSC transports. The LIBDN
  * latency-insensitivity guarantee is exactly what makes this
  * semantics-preserving — domains may race ahead of each other
@@ -64,7 +68,7 @@
 
 namespace bcl {
 
-/** Execution discipline of a domain. */
+/** Execution discipline of a domain (CosimConfig::kindOf). */
 enum class DomainKind : std::uint8_t { Software, Hardware };
 
 /**
@@ -74,7 +78,8 @@ enum class DomainKind : std::uint8_t { Software, Hardware };
  *   Compiled    - generateCpp + host compiler + dlopen (the paper's
  *                 actual software story; native speed, virtual time
  *                 approximated per firing — see
- *                 CosimConfig::swCompiledCyclesPerFiring).
+ *                 kSwCompiledCyclesPerFiring in
+ *                 domain_executors.cpp).
  * Functional results are identical either way (differential-tested);
  * only wall-clock speed and the fidelity of reported cycle counts
  * differ.
@@ -111,19 +116,6 @@ struct CosimConfig
      * is byte-identical to the old hard-coded calibration.
      */
     PlatformSpec platform = PlatformSpec::ml507();
-
-    /**
-     * CPU cycles per abstract work unit. Work units are interpreter
-     * AST-node counts, which overestimate the instructions of the
-     * *compiled* generated C++ by roughly 4x (many nodes fold into
-     * single instructions); 0.23 calibrates the full-software Vorbis
-     * partition to ~1.2x the hand-written baseline, the paper's
-     * "slightly faster" F2 relation. See docs/EXPERIMENTS.md.
-     */
-    double swCyclesPerWork = 0.23;
-
-    /** Software scheduling strategy. */
-    SwStrategy swStrategy = SwStrategy::Dataflow;
 
     /** Execution backend for software domains (the config switch
      *  between the interpreter and compiled shared objects). */
@@ -166,30 +158,13 @@ struct CosimConfig
      * (CompileCache::get) and passes it here, making instantiation
      * pure bcl_gen_create. The caller asserts the artifact was built
      * from this partition's program under swGenMode — the layout
-     * cross-check at load time does not re-run per instance. Only
-     * valid when the partition has exactly one software domain
-     * (fatal otherwise: the artifact is per-partition).
+     * cross-check at load time does not re-run per instance.
      */
     std::shared_ptr<const CompiledArtifact> swArtifact;
-
-    /**
-     * Virtual-time charge (CPU cycles) per rule firing of a compiled
-     * software domain. Compiled execution does not model work — it IS
-     * the generated code running natively — so virtual time is
-     * approximated per firing. Latency-insensitive interfaces make
-     * functional results independent of this knob; only reported
-     * cycle counts move.
-     */
-    double swCompiledCyclesPerFiring = 200.0;
 
     /** Cost model applied to software partitions (calibration knobs;
      *  see docs/EXPERIMENTS.md). */
     CostModel swCosts;
-
-    /** Max software rule firings per slice before hardware catches
-     *  up (bounds virtual-time skew). In parallel mode this is also
-     *  the epoch granularity between barriers. */
-    int swQuantum = 64;
 
     /**
      * Worker threads for the co-simulation. 1 (default) runs the
@@ -203,32 +178,11 @@ struct CosimConfig
      */
     int threads = 1;
 
-    /** Hard stop for the whole co-simulation. */
-    std::uint64_t maxFpgaCycles = 1ull << 40;
-
-    /**
-     * Participate in tracing/metrics: when the process-global
-     * TraceRecorder / MetricsRegistry (src/obs/) are enabled, this
-     * cosim emits epoch/slice spans, channel flow arrows, stall
-     * instants and the occupancy/epoch histograms. False makes every
-     * observability site in this cosim inert — the serving bench
-     * uses it to trace a sample of sessions instead of all 10k.
-     * Purely observational either way: functional outputs and cycle
-     * counts are byte-identical with tracing on or off (pinned by
-     * the determinism tests).
-     */
-    bool trace = true;
-
-    /** Domain disciplines; domains absent here default to Hardware,
-     *  except "SW" which defaults to Software. */
-    std::map<std::string, DomainKind> kinds;
-
+    /** Software domains are the ones named "SW"; every other
+     *  domain is hardware. */
     DomainKind
     kindOf(const std::string &domain) const
     {
-        auto it = kinds.find(domain);
-        if (it != kinds.end())
-            return it->second;
         return domain == "SW" ? DomainKind::Software
                               : DomainKind::Hardware;
     }
@@ -245,21 +199,16 @@ struct CosimConfig
      * across transports, only reported cycle counts may shift (the
      * same license threads > 1 already uses). Remote transports
      * force the sequential engine. Software domains always run
-     * in-thread regardless of this default (host drivers call into
-     * them directly); naming one in `transports` is a fatal
-     * configuration error.
+     * in-thread (host drivers call into them directly).
      */
     TransportKind defaultTransport = TransportKind::InThread;
-
-    /** Per-domain overrides of defaultTransport. */
-    std::map<std::string, TransportKind> transports;
 
     TransportKind
     transportOf(const std::string &domain) const
     {
-        auto it = transports.find(domain);
-        return it != transports.end() ? it->second
-                                      : defaultTransport;
+        return kindOf(domain) == DomainKind::Software
+                   ? TransportKind::InThread
+                   : defaultTransport;
     }
 
     /** Bound on every blocking remote-transport operation; a peer
@@ -269,7 +218,8 @@ struct CosimConfig
 
     /** Tcp domains listed here attach to an already-running
      *  cosim_partition_host ("127.0.0.1:PORT") instead of forking a
-     *  child. */
+     *  child. Naming the software domain is a fatal configuration
+     *  error. */
     std::map<std::string, std::string> remoteEndpoints;
 };
 
@@ -296,6 +246,17 @@ struct SwDriver
     /** True when the driver has no more input to offer. */
     std::function<bool()> done;
 };
+
+/**
+ * CPU cycles per abstract work unit of an interpreted software domain
+ * and of host-driver work. Work units are interpreter AST-node
+ * counts, which overestimate the instructions of the *compiled*
+ * generated C++ by roughly 4x (many nodes fold into single
+ * instructions); 0.23 calibrates the full-software Vorbis partition
+ * to ~1.2x the hand-written baseline, the paper's "slightly faster"
+ * F2 relation. See docs/EXPERIMENTS.md.
+ */
+inline constexpr double kSwCyclesPerWork = 0.23;
 
 /**
  * The executor behind partition @p part per swBackend / hwBackend /

@@ -9,6 +9,15 @@ namespace bcl {
 
 namespace {
 
+/**
+ * Virtual-time charge (CPU cycles) per rule firing of a compiled
+ * software domain. Compiled execution does not model work — it IS the
+ * generated code running natively — so virtual time is approximated
+ * per firing. Latency-insensitive interfaces make functional results
+ * independent of this value; only reported cycle counts move.
+ */
+constexpr double kSwCompiledCyclesPerFiring = 200.0;
+
 /** A software domain under a RuleEngine over the reference
  *  interpreter, running on the mirror store itself. */
 class InterpretedSw final : public DomainExecutor, public SwPort
@@ -16,8 +25,8 @@ class InterpretedSw final : public DomainExecutor, public SwPort
   public:
     InterpretedSw(const ElabProgram &prog, Store &store,
                   const CosimConfig &cfg)
-        : interp_(prog, store), engine_(interp_, cfg.swStrategy),
-          workToCycles_(cfg.swCyclesPerWork / cfg.platform.cpuClockRatio)
+        : interp_(prog, store), engine_(interp_, SwStrategy::Dataflow),
+          workToCycles_(kSwCyclesPerWork / cfg.platform.cpuClockRatio)
     {
         interp_.costs() = cfg.swCosts;
     }
@@ -69,7 +78,7 @@ class CompiledSw final : public DomainExecutor, public SwPort
                const CosimConfig &cfg)
         : part_(std::move(artifact)), mirror_(mirror), prims_(prog),
           idleInterp_(prog, mirror),
-          cyclesPerFiring_(cfg.swCompiledCyclesPerFiring /
+          cyclesPerFiring_(kSwCompiledCyclesPerFiring /
                            cfg.platform.cpuClockRatio)
     {
     }
@@ -188,7 +197,6 @@ makeDomainExecutor(const PartitionPart &part, const CosimConfig &cfg,
     if (tk != TransportKind::InThread) {
         RemoteOptions ropts;
         ropts.timeoutMs = cfg.transportTimeoutMs;
-        ropts.traced = cfg.trace;
         auto ep = cfg.remoteEndpoints.find(part.domain);
         if (tk == TransportKind::Tcp && ep != cfg.remoteEndpoints.end()) {
             return std::make_unique<RemoteHwPartition>(
@@ -199,7 +207,6 @@ makeDomainExecutor(const PartitionPart &part, const CosimConfig &cfg,
         // the coordinator, so the child only instantiates it.
         CosimConfig local = cfg;
         local.defaultTransport = TransportKind::InThread;
-        local.transports.clear();
         if (cfg.hwBackend == HwBackend::Compiled) {
             auto artifact = resolveArtifact(prog, cfg);
             local.compileProvider = [artifact](const ElabProgram &,

@@ -42,7 +42,7 @@ parseTransportKind(const std::string &name)
         return TransportKind::SharedMem;
     if (name == "tcp")
         return TransportKind::Tcp;
-    panic("unknown transport '" + name +
+    fatal("unknown transport '" + name +
           "' (expected inthread|shm|tcp)");
 }
 
@@ -420,10 +420,9 @@ RemoteHwPartition::RemoteHwPartition(const ElabProgram &prog,
                                      RemoteOptions opts,
                                      ExecutorFactory make_executor)
     : prog_(prog), domain_(std::move(domain)),
-      timeoutMs_(opts.timeoutMs), traced_(opts.traced),
-      prims_(prog), payloadType_(payloadTypes(prog, prims_))
+      timeoutMs_(opts.timeoutMs), prims_(prog),
+      payloadType_(payloadTypes(prog, prims_))
 {
-
     if (kind == TransportKind::SharedMem) {
         auto seg = std::make_unique<ShmSegment>(
             ShmFrameLink::bytesFor(kShmRingWords));
@@ -495,8 +494,8 @@ RemoteHwPartition::RemoteHwPartition(const ElabProgram &prog,
                                      std::string domain,
                                      RemoteOptions opts)
     : prog_(prog), domain_(std::move(domain)),
-      timeoutMs_(opts.timeoutMs), traced_(opts.traced),
-      prims_(prog), payloadType_(payloadTypes(prog, prims_))
+      timeoutMs_(opts.timeoutMs), prims_(prog),
+      payloadType_(payloadTypes(prog, prims_))
 {
     if (!netTransportAvailable())
         die("loopback TCP sockets unavailable in this sandbox");
@@ -648,7 +647,7 @@ RemoteHwPartition::step(std::uint64_t budget)
         die("unexpected frame type " +
             std::to_string(static_cast<int>(f.type)) + " mid-slice");
     }
-    if (traced_ && obs::metrics().enabled()) {
+    if (obs::metrics().enabled()) {
         obs::metrics()
             .histogram("cosim.remote.slice_us",
                        obs::Histogram::exponentialBounds(1.0, 2.0, 22))

@@ -63,7 +63,8 @@ enum class TransportKind : std::uint8_t {
 };
 
 const char *transportName(TransportKind k);
-/** Parse "inthread" | "shm" | "tcp" (bench flags); panics otherwise. */
+/** Parse "inthread" | "shm" | "tcp" (bench flags); an unknown name
+ *  is a FatalError (user input, not an internal invariant). */
 TransportKind parseTransportKind(const std::string &name);
 
 /**
@@ -94,8 +95,6 @@ struct RemoteOptions
     /** Bound on every blocking transport operation (handshake, slice
      *  round trip). A peer that stays silent longer is declared dead. */
     int timeoutMs = 10000;
-    /** Participate in obs metrics (cosim.remote.slice_us). */
-    bool traced = true;
     /** Test hooks: when set, replace the real values in the Hello so
      *  handshake refusal paths can be exercised. 0 / -1 = real. */
     std::uint64_t helloHashOverride = 0;
@@ -161,7 +160,6 @@ class RemoteHwPartition final : public DomainExecutor
     const ElabProgram &prog_;
     std::string domain_;
     int timeoutMs_;
-    bool traced_;
     std::unique_ptr<RemoteLink> link_;
     pid_t pid_ = -1;
     bool reaped_ = false;

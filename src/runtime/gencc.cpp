@@ -165,7 +165,7 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
             // latency; the span + histogram make them visible next to
             // the cache hits they should be.
             obs::TraceSpan span(
-                "gencc.compile", "gencc", true, "source_bytes",
+                "gencc.compile", "gencc", "source_bytes",
                 static_cast<std::int64_t>(source_.size()));
             auto t0 = std::chrono::steady_clock::now();
             if (std::system(cmd.c_str()) != 0) {

@@ -45,10 +45,8 @@ WorkerPool::submit(std::shared_ptr<Session> session)
         if (stop_)
             panic("serve: submit on a stopping pool");
         session->markReady(std::chrono::steady_clock::now());
-        if (session->traced()) {
-            obs::trace().instant("session.queued", "serve",
-                                 "session", session->id());
-        }
+        obs::trace().instant("session.queued", "serve", "session",
+                             session->id());
         if (session->finished()) {
             // Zero-target session: nothing to run, count it settled.
             stats_.completed++;
@@ -83,8 +81,7 @@ WorkerPool::workerLoop(int index)
         {
             // The claimed->advanced slice of the session lifecycle:
             // which worker served which session, for how long.
-            obs::TraceSpan span("session.advance", "serve",
-                                session->traced(), "session",
+            obs::TraceSpan span("session.advance", "serve", "session",
                                 session->id());
             try {
                 finished = !session->advance();
@@ -100,12 +97,10 @@ WorkerPool::workerLoop(int index)
                 t1 - session->readyAt())
                 .count();
         session->recordFrameLatencyMs(frame_ms);
-        if (session->traced()) {
-            frameMs_.observe(frame_ms);
-            if (finished && !error) {
-                obs::trace().instant("session.done", "serve",
-                                     "session", session->id());
-            }
+        frameMs_.observe(frame_ms);
+        if (finished && !error) {
+            obs::trace().instant("session.done", "serve", "session",
+                                 session->id());
         }
 
         {
@@ -168,8 +163,7 @@ WorkerPool::snapshotMetrics(obs::MetricsRegistry &reg) const
 // ---------------------------------------------------------------------------
 
 SessionManager::SessionManager(Options opts)
-    : trace_(opts.trace), cache_(std::move(opts.cache)),
-      pool_(opts.workers)
+    : cache_(std::move(opts.cache)), pool_(opts.workers)
 {
     // Resolve the fleet-wide platform once: a bad preset name or
     // malformed config file fails the manager's construction, not
@@ -182,7 +176,6 @@ std::shared_ptr<Session>
 SessionManager::createSession(const PartitionResult &parts,
                               CosimConfig cfg, StreamSpec spec)
 {
-    cfg.trace = cfg.trace && trace_;
     if (platform_)
         cfg.platform = *platform_;
     if (cfg.swBackend == SwBackend::Compiled && !cfg.compileProvider) {

@@ -100,7 +100,7 @@ class WorkerPool
     bool stop_ = false;
     PoolStats stats_;
     std::exception_ptr firstError_;
-    /** Ready-to-done frame latency of traced sessions (ms). */
+    /** Ready-to-done frame latency of every session (ms). */
     obs::Histogram &frameMs_;
     std::vector<std::thread> threads_;
 };
@@ -117,14 +117,6 @@ struct SessionManagerOptions
 
     /** Compile-cache configuration (disk layer etc.). */
     CompileCacheOptions cache;
-
-    /**
-     * Master switch for session observability: ANDed into each
-     * created session's CosimConfig::trace, so a manager can silence
-     * its whole fleet (or a caller can silence all but a sampled
-     * subset by clearing cfg.trace per session).
-     */
-    bool trace = true;
 
     /**
      * Platform model for every session this manager creates: a
@@ -179,7 +171,6 @@ class SessionManager
   private:
     int nextId_ = 0;
     std::mutex idMu_;
-    bool trace_;
     /** Resolved Options::platform; nullopt = per-session choice. */
     std::optional<PlatformSpec> platform_;
     CompileCache cache_;

@@ -9,15 +9,15 @@ namespace serve {
 
 Session::Session(int id, const PartitionResult &parts,
                  CosimConfig cfg, StreamSpec spec)
-    : id_(id), cfg_(std::move(cfg)), spec_(std::move(spec))
+    : id_(id), spec_(std::move(spec))
 {
     if (!spec_.progress)
         fatal("serve: StreamSpec needs a progress counter");
     // One session = one stream = one worker at a time; parallelism
     // lives across sessions in the pool, so the cosim itself runs
     // the exact sequential engine.
-    cfg_.threads = 1;
-    cosim_ = std::make_unique<CoSim>(parts, cfg_);
+    cfg.threads = 1;
+    cosim_ = std::make_unique<CoSim>(parts, std::move(cfg));
     if (spec_.driver.step)
         cosim_->setDriver(spec_.swDomain, spec_.driver);
     finished_ = spec_.target == 0;

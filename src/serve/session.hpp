@@ -92,11 +92,6 @@ class Session
 
     bool finished() const { return finished_; }
 
-    /** Does this session emit trace/metric events? (CosimConfig::
-     *  trace as resolved at construction — the pool consults this so
-     *  e.g. only sampled sessions pay for instrumentation.) */
-    bool traced() const { return cfg_.trace; }
-
     /** Progress units completed so far. */
     std::uint64_t progress() { return spec_.progress(*cosim_); }
 
@@ -131,7 +126,6 @@ class Session
 
   private:
     int id_;
-    CosimConfig cfg_;
     StreamSpec spec_;
     std::unique_ptr<CoSim> cosim_;
     bool finished_ = false;

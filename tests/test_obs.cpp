@@ -4,8 +4,9 @@
  * well-formedness and parse-back, span nesting balance per thread,
  * flow-id pairing of channel pickup/deliver across cosim worker
  * threads, histogram bucket math, registry typing, the disabled-path
- * overhead guard, and — the property everything else leans on —
- * byte-identical workload outputs with tracing on and off.
+ * overhead guard, the serving/remote event sites, and — the
+ * property everything else leans on — byte-identical workload
+ * outputs with tracing on and off.
  *
  * The recorder and registry are process-global singletons, so every
  * test that enables them disables them again before returning (and
@@ -28,6 +29,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "platform/cosim.hpp"
+#include "serve/pool.hpp"
 #include "workloads/workload.hpp"
 
 namespace bcl {
@@ -411,7 +413,7 @@ TEST(TraceRecorder, JsonWellFormedAndSpansBalancePerThread)
     obs::trace().setThreadName("test.main");
     {
         obs::TraceSpan outer("outer", "test");
-        obs::TraceSpan inner("inner", "test", true, "k", 7);
+        obs::TraceSpan inner("inner", "test", "k", 7);
         obs::trace().instant("mark", "test");
     }
     std::thread t([] {
@@ -601,6 +603,58 @@ TEST(TracedCosim, SnapshotPublishesCosimMetrics)
         }
     }
     EXPECT_TRUE(saw_channel);
+}
+
+// ---------------------------------------------------------------------------
+// Serving and remote sites: with the global switch on, every session
+// and every remote slice is observed (there is no per-object gate).
+// ---------------------------------------------------------------------------
+
+TEST(TracedServing, SessionsAndRemoteSlicesAreObserved)
+{
+    ScopedObs on;
+    const NamedWorkload &b = findWorkload("vorbis_B");
+    const WorkloadSize size{.frames = 2};
+    const std::uint64_t seed = b.workload->defaultSeed;
+
+    // The remote leg first: its partition child forks before this
+    // test starts any pool threads.
+    obs::Histogram &slice_us =
+        obs::metrics().histogram("cosim.remote.slice_us");
+    const std::uint64_t slices_before = slice_us.count();
+    CosimConfig remote;
+    remote.defaultTransport = TransportKind::SharedMem;
+    remote.transportTimeoutMs = 60000;
+    ASSERT_FALSE(runWorkload("vorbis_B", size, remote).output.empty());
+    EXPECT_GT(slice_us.count(), slices_before);
+
+    obs::Histogram &frame_ms =
+        obs::metrics().histogram("serve.session.frame_ms");
+    const std::uint64_t frames_before = frame_ms.count();
+    PartitionResult parts =
+        partitionWorkload(*b.workload, b.partition->domains, size, seed);
+    {
+        serve::SessionManagerOptions mopts;
+        mopts.workers = 2;
+        serve::SessionManager mgr(mopts);
+        for (int i = 0; i < 2; i++) {
+            mgr.startSession(parts, CosimConfig{},
+                             b.workload->stream(parts, size, seed));
+        }
+        mgr.drain();
+    }
+    // One frame latency per served quantum, at least one per session.
+    EXPECT_GE(frame_ms.count() - frames_before, 2u);
+
+    std::map<std::string, int> serve_events;
+    Json root = JsonParser(obs::trace().toJson()).parse();
+    for (const Json &e : root.at("traceEvents").arr) {
+        if (e.has("cat") && e.at("cat").str == "serve")
+            serve_events[e.at("ph").str + " " + e.at("name").str]++;
+    }
+    EXPECT_EQ(serve_events["i session.queued"], 2);
+    EXPECT_GE(serve_events["B session.advance"], 2);
+    EXPECT_EQ(serve_events["i session.done"], 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -1116,7 +1116,7 @@ TEST(CoSimTransport, SoftwareDomainOverrideIsRejected)
     DomainAssignment doms = inferDomains(elab);
     PartitionResult parts = partitionProgram(elab, doms);
     CosimConfig cfg;
-    cfg.transports["SW"] = TransportKind::SharedMem;
+    cfg.remoteEndpoints["SW"] = "127.0.0.1:1";
     EXPECT_THROW(CoSim cosim(parts, cfg), FatalError);
 }
 

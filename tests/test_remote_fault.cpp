@@ -215,7 +215,6 @@ TEST(RemoteFault, AbiMismatchIsRefusedBeforePayload)
 
     for (TransportKind kind : remoteTransportKinds()) {
         RemoteOptions opts;
-        opts.traced = false;
         opts.helloAbiOverride = kCppGenAbiVersion + 7;
         try {
             RemoteHwPartition proxy(hw, kind, "HW", opts);
@@ -241,7 +240,6 @@ TEST(RemoteFault, ProgramSignatureMismatchIsRefusedBeforePayload)
 
     for (TransportKind kind : remoteTransportKinds()) {
         RemoteOptions opts;
-        opts.traced = false;
         opts.helloHashOverride = 0xBADC0FFEE0DDF00Dull;
         try {
             RemoteHwPartition proxy(hw, kind, "HW", opts);
@@ -278,7 +276,6 @@ TEST(RemoteFault, SceneMismatchIsRefusedBeforePayload)
     EXPECT_NE(programSignature(hw_a), programSignature(hw_b));
 
     RemoteOptions opts;
-    opts.traced = false;
     opts.helloHashOverride = programSignature(hw_b);
     try {
         RemoteHwPartition proxy(hw_a, TransportKind::SharedMem, "HW",
@@ -371,7 +368,7 @@ TEST(RemoteFault, TruncatedSliceReportIsRejected)
     });
 
     CosimConfig cfg;
-    cfg.transports["HW"] = TransportKind::Tcp;
+    cfg.defaultTransport = TransportKind::Tcp;
     cfg.remoteEndpoints["HW"] =
         "127.0.0.1:" + std::to_string(listener.port());
     cfg.transportTimeoutMs = 5000;
