@@ -250,7 +250,7 @@ BenchMain::parse(int argc, char **argv)
                                    : resolvePlatform(platformArg);
     if (!tracePath.empty()) {
         obs::trace().enable(true);
-        obs::metrics().enable(true);  // epoch wall-time histogram
+        obs::metrics().enable(true);  // occupancy/latency histograms
     }
 }
 

@@ -15,11 +15,6 @@
  * oversubscribed pool it grows with the number of live sessions
  * while streams/sec holds — that shape IS the serving tradeoff.
  *
- * On a 1-core container workers serialize, so streams/sec measures
- * per-stream cost plus scheduling overhead, not parallel scaling —
- * read the recorded hardware_concurrency/workers (same caveat as
- * cosim_parallel; see docs/EXPERIMENTS.md).
- *
  * Flags: the shared --frames --platform --hw-backend --transport
  * --json --trace (bench/bench_main.hpp), plus
  *   --sessions N,N,...  concurrent-session counts (100,1000,10000)

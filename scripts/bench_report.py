@@ -9,9 +9,6 @@ machine-readable output, one report section per row:
     fired/sec for the full-software Vorbis partition,
   - strategy_compare: the section 6.3 compiled-execution cost ladder
     (skipped when no host compiler is available),
-  - cosim_parallel: parallel co-simulation scaling over every
-    registered workload partition, with the host's
-    hardware_concurrency recorded,
   - serving: streams/sec and p50/p99 frame latency per concurrent
     session count, streams spot-verified against solo runs,
   - partition_sweep: the section 7.1 communication-cost frontier, plus
@@ -19,14 +16,14 @@ machine-readable output, one report section per row:
     the top-level "hw_backend" section,
   - platform_scenarios: the split workloads re-timed under each
     configs/ platform model plus the heterogeneous-topology leg,
-  - transports: cosim_parallel and serving re-run per channel
-    transport (in-thread, forked shm rings, loopback TCP) at small
-    sizes — the relay cost of distributing LIBDN partitions,
+  - transports: serving re-run per channel transport (in-thread,
+    forked shm rings, loopback TCP) at small sizes — the relay cost of
+    distributing LIBDN partitions,
   - sw_runtime_opts (Google Benchmark, optional): runtime ablations.
 
-The report also carries "metrics_snapshot" (the src/obs/ registry
-dumps of the serving sweep and each cosim_parallel workload's channel
-traffic) and "host" (git sha, build type, cores, cpu).
+The report also carries "metrics_snapshot" (the src/obs/ registry dump
+of the serving sweep, channel counters included) and "host" (git sha,
+build type, cores, cpu).
 
 Gating: a bench that exits nonzero fails the report (exit 1, after
 writing whatever was collected) — a LIBDN violation (outputs that
@@ -88,15 +85,6 @@ def run_bench(build_dir, bench, args, failures):
         os.unlink(path)
 
 
-def threads1_runs(raw, transport):
-    runs = {w["name"]: {"wall_ms": r["wall_ms"],
-                        "outputs_match": r["outputs_match"]}
-            for w in raw.get("workloads", [])
-            for r in w.get("runs", []) if r["threads"] == 1}
-    return {"effective": raw.get("transport", transport),
-            "workloads": runs}
-
-
 def first_point(raw, transport):
     pt = raw["points"][0] if raw.get("points") else {}
     return {"effective": raw.get("transport", transport),
@@ -122,8 +110,6 @@ def sections(args):
     rows = [
         (("fig13_vorbis",), "fig13_vorbis", ["--frames", f], None),
         (("strategy_compare",), "strategy_compare", ["--frames", f], None),
-        (("cosim_parallel",), "cosim_parallel",
-         ["--frames", min(f, 16)], None),
         (("serving",), "serving",
          ["--sessions", args.serving_sessions,
           "--frames", args.serving_frames], None),
@@ -135,10 +121,6 @@ def sections(args):
     # Small sizes: remote transports fork one child per hardware
     # domain (per live session, for serving) — relay cost, not scale.
     for t in ("inthread", "shm", "tcp"):
-        rows.append((("transports", t, "cosim"), "cosim_parallel",
-                     ["--frames", 4, "--ray-size", 6, "--ray-prims", 32,
-                      "--transport", t],
-                     lambda raw, t=t: threads1_runs(raw, t)))
         rows.append((("transports", t, "serving"), "serving",
                      ["--sessions", 8, "--frames", 2, "--workers", 2,
                       "--partition", "B", "--backend", "interpreted",
@@ -199,16 +181,8 @@ def main():
             k: sweep[k] for k in ("frames", "sweep_hw_backend", "frontier")}
         report["hw_backend"] = {"compare_frames": sweep["compare_frames"],
                                 "workloads": sweep["hw_backend_compare"]}
-    snapshot = {}
     if "metrics" in report.get("serving", {}):
-        snapshot["serving"] = report["serving"]["metrics"]
-    chans = {w["name"]: w["metrics"]
-             for w in report.get("cosim_parallel", {}).get("workloads", [])
-             if w.get("metrics")}
-    if chans:
-        snapshot["cosim_channels"] = chans
-    if snapshot:
-        report["metrics_snapshot"] = snapshot
+        report["metrics_snapshot"] = {"serving": report["serving"]["metrics"]}
 
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)

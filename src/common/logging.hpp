@@ -7,8 +7,8 @@
  * modes (failure injection).
  *
  * Status output routes through ONE mutex-serialized sink (a single
- * stderr write per line), so diagnostics from cosim worker threads
- * and the serving pool never interleave mid-line. The level is
+ * stderr write per line), so diagnostics from the serving pool's
+ * workers never interleave mid-line. The level is
  * runtime-configurable: the BCL_LOG environment variable
  * (silent|warn|info|debug, or 0-3) sets the initial level, and
  * setLogLevel() overrides it programmatically.

@@ -21,7 +21,6 @@
  *   cosim.channel.<chan>.stall_cycles    counter
  *   cosim.channel.<chan>.stall_events    counter
  *   cosim.channel.occupancy              histogram (rx queue depth)
- *   cosim.epoch.wall_us                  histogram (parallel engine)
  *   gencc.compiles                       counter
  *   gencc.compile_ms                     histogram
  *   serve.session.frame_ms               histogram (ready-to-done)

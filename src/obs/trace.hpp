@@ -1,14 +1,14 @@
 /**
  * @file
  * Timeline tracing in the Chrome trace_event JSON format (loadable
- * in Perfetto / chrome://tracing): spans for cosim epochs and
- * per-partition worker slices, flow arrows for channel
- * pickup->deliver message travel, instants for stalls and
- * compile-cache outcomes, and serving-session lifecycle markers.
+ * in Perfetto / chrome://tracing): spans for per-partition cosim
+ * slices, flow arrows for channel pickup->deliver message travel,
+ * instants for stalls and compile-cache outcomes, and
+ * serving-session lifecycle markers.
  *
- * Recording reuses the SPSC idiom of common/spsc.hpp: each recording
- * thread owns a chunked event buffer it alone appends to, publishing
- * each event with one release store of the chunk's used-count; the
+ * Recording is single-producer per thread: each recording thread
+ * owns a chunked event buffer it alone appends to, publishing each
+ * event with one release store of the chunk's used-count; the
  * flush side walks all buffers with acquire loads. No lock is ever
  * taken on the event path — only chunk rollover (every
  * kChunkEvents events) and first-touch thread registration lock a

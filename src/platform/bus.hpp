@@ -17,7 +17,6 @@
 #define BCL_PLATFORM_BUS_HPP
 
 #include <cstdint>
-#include <mutex>
 
 namespace bcl {
 
@@ -73,15 +72,9 @@ struct BusParams
  * arbiter, so a blocked channel never blocks others - no head-of-line
  * blocking, section 4.4).
  *
- * Thread safety: every operation takes the arbiter's lock. In the
- * parallel co-simulation each arbiter is keyed by (from-domain,
- * to-domain), so exactly one worker thread pumps through it
- * mid-epoch — the lock's real job is ordering that producer's
- * grants against the coordinator's barrier-time reads
- * (freeTime/busy/grantCount and the barrier channel sweep's own
- * pumps), and future-proofing any topology that does share a
- * direction between producers. See "Parallel co-simulation" in
- * docs/ARCHITECTURE.md.
+ * Not thread-safe: a CoSim touches its arbiters from the thread that
+ * runs it, and the serving pool hands a whole session between
+ * workers through its own synchronization.
  */
 class LinkArbiter
 {
@@ -93,7 +86,6 @@ class LinkArbiter
     std::uint64_t
     acquire(std::uint64_t ready, std::uint64_t occupancy)
     {
-        std::lock_guard<std::mutex> lock(mu_);
         std::uint64_t start = ready > freeAt ? ready : freeAt;
         freeAt = start + occupancy;
         busyCycles += occupancy;
@@ -102,31 +94,15 @@ class LinkArbiter
     }
 
     /** Earliest time a new transfer could start. */
-    std::uint64_t
-    freeTime() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return freeAt;
-    }
+    std::uint64_t freeTime() const { return freeAt; }
 
     /** Total cycles the wire was occupied. */
-    std::uint64_t
-    busy() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return busyCycles;
-    }
+    std::uint64_t busy() const { return busyCycles; }
 
     /** Number of messages granted. */
-    std::uint64_t
-    grantCount() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return grants;
-    }
+    std::uint64_t grantCount() const { return grants; }
 
   private:
-    mutable std::mutex mu_;
     std::uint64_t freeAt = 0;
     std::uint64_t busyCycles = 0;
     std::uint64_t grants = 0;

@@ -1,6 +1,6 @@
 #include "platform/channel.hpp"
 
-#include <utility>
+#include <limits>
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -21,14 +21,9 @@ snapshotChannelStats(obs::MetricsRegistry &reg,
 ChannelTransport::ChannelTransport(const ChannelSpec &spec,
                                    Store &tx_store, Store &rx_store,
                                    LinkArbiter &link_arb,
-                                   const BusParams &bus_params,
-                                   bool threaded)
+                                   const BusParams &bus_params)
     : spec_(spec), txStore(tx_store), rxStore(rx_store), link(link_arb),
-      bus(bus_params), threaded_(threaded),
-      // Credits bound in-flight occupancy by the synchronizer
-      // capacity, so the ring can never be asked to hold more.
-      ring_(static_cast<size_t>(spec.capacity > 0 ? spec.capacity : 1)),
-      flowBase_(obs::TraceRecorder::nextFlowBase()),
+      bus(bus_params), flowBase_(obs::TraceRecorder::nextFlowBase()),
       occupancy_(obs::metrics().histogram(
           "cosim.channel.occupancy",
           obs::Histogram::exponentialBounds(1.0, 2.0, 12)))
@@ -40,14 +35,9 @@ ChannelTransport::ChannelTransport(const ChannelSpec &spec,
 int
 ChannelTransport::rxCreditsFree() const
 {
-    if (threaded_) {
-        // Producer side must not read the consumer's live queue; the
-        // atomic charge (conservatively) stands in for it.
-        return spec_.capacity - charged_.load(std::memory_order_acquire);
-    }
     const PrimState &rx = rxStore.at(spec_.rxPrim);
     return spec_.capacity - static_cast<int>(rx.queue.size()) -
-           static_cast<int>(ring_.size());
+           static_cast<int>(inFlight_.size());
 }
 
 void
@@ -79,40 +69,20 @@ ChannelTransport::pump(std::uint64_t now)
             stats_.stallCycles += now - stalledSince_;
             stalled_ = false;
         }
-        Value msg = tx.queue.front();
         int words = spec_.payloadWords;
         std::uint64_t occupancy = bus.occupancyCycles(words);
         std::uint64_t start = link.acquire(now, occupancy);
         std::uint64_t arrive = start + occupancy + bus.requestLatency;
 
+        // The structure crosses directly; the word count above
+        // drives the timing, and marshal bit-exactness is covered by
+        // its own tests.
+        inFlight_.push_back({tx.queue.front(), arrive});
         tx.queue.pop_front();
-        InFlight f;
-        f.deliverAt = arrive;
-        if (threaded_) {
-            // Marshal for real: COW Values share representation with
-            // whatever the producer still holds, and Value's
-            // uniqueness gate is not a cross-thread synchronization
-            // point — only plain words may cross to the consumer.
-            f.words = marshalValue(msg);
-        } else {
-            // Sequentially the structure crosses directly; the word
-            // count above still drives the timing, and marshal
-            // bit-exactness is covered by its own tests.
-            f.msg = std::move(msg);
-        }
-        if (threaded_)
-            charged_.fetch_add(1, std::memory_order_acq_rel);
-        if (!ring_.push(std::move(f))) {
-            // Unreachable while the credit invariant holds: in-flight
-            // count never exceeds capacity <= ring capacity.
-            panic("channel '" + spec_.name +
-                  "': in-flight ring overflow (credit accounting "
-                  "violated)");
-        }
         stats_.messages++;
         stats_.payloadWords += static_cast<std::uint64_t>(words);
         // Pickup N pairs with delivery N (exactly-once, in order),
-        // so the flow arrow needs no state in the ring.
+        // so the flow arrow needs no per-message state.
         obs::trace().flowStart(spec_.name.c_str(), "channel",
                                flowBase_ + stats_.messages);
     }
@@ -122,30 +92,13 @@ bool
 ChannelTransport::deliver(std::uint64_t now)
 {
     PrimState &rx = rxStore.at(spec_.rxPrim);
-    if (threaded_) {
-        // Consumer end: fold the queue drain observed since the last
-        // call back into the credit charge.
-        size_t sz = rx.queue.size();
-        if (sz < lastRxSize_)
-            freed_ += static_cast<int>(lastRxSize_ - sz);
-        lastRxSize_ = sz;
-    }
     bool any = false;
-    while (InFlight *f = ring_.front()) {
-        if (f->deliverAt > now || (threaded_ && visible_ == 0))
-            break;
+    while (!inFlight_.empty() && inFlight_.front().deliverAt <= now) {
         if (static_cast<int>(rx.queue.size()) >= spec_.capacity)
             panic("channel '" + spec_.name +
                   "': credit accounting violated (rx overflow)");
-        if (threaded_) {
-            rx.queue.push_back(
-                demarshalValue(spec_.msgType, f->words));
-        } else {
-            rx.queue.push_back(std::move(f->msg));
-        }
-        ring_.pop();
-        if (threaded_)
-            visible_--;
+        rx.queue.push_back(std::move(inFlight_.front().msg));
+        inFlight_.pop_front();
         any = true;
         delivered_++;
         obs::trace().flowEnd(spec_.name.c_str(), "channel",
@@ -153,22 +106,15 @@ ChannelTransport::deliver(std::uint64_t now)
     }
     if (any)
         occupancy_.observe(static_cast<double>(rx.queue.size()));
-    if (threaded_)
-        lastRxSize_ = rx.queue.size();
     return any;
-}
-
-void
-ChannelTransport::barrier()
-{
-    charged_.fetch_sub(std::exchange(freed_, 0), std::memory_order_acq_rel);
-    visible_ = ring_.size();
 }
 
 std::uint64_t
 ChannelTransport::nextEventAt() const
 {
-    std::uint64_t next = nextArrivalAt();
+    std::uint64_t next = inFlight_.empty()
+                             ? std::numeric_limits<std::uint64_t>::max()
+                             : inFlight_.front().deliverAt;
     const PrimState &tx = txStore.at(spec_.txPrim);
     if (!tx.queue.empty() && rxCreditsFree() > 0) {
         std::uint64_t pickup =

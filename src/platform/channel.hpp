@@ -14,24 +14,9 @@
  * shared LinkArbiter this gives the LIBDN no-deadlock /
  * no-head-of-line-blocking property.
  *
- * Threading: the transport has two ends with disjoint owners. pump()
- * belongs to the producer domain, deliver()/nextArrivalAt() to the
- * consumer domain; in-flight messages cross between them over a
- * bounded SPSC ring (common/spsc.hpp) and credits over an atomic
- * counter, so in the parallel co-simulation the two domain worker
- * threads touch the transport lock-free (the LinkArbiter, shared per
- * link direction, is the only lock on the path). In threaded mode
- * messages cross the ring as *marshaled words* — precisely what the
- * physical channel does — so no COW Value payload is ever shared
- * between domain threads (Value's in-place-mutation gate is not a
- * synchronization point); the consumer rebuilds the Value from the
- * canonical layout, which tests pin as a bit-exact round trip. In sequential mode
- * (threaded=false) credits are computed from the live consumer queue
- * exactly as the single-threaded co-simulation always has, so cycle
- * accounting is bit-stable against history. Mixed-end views
- * (nextEventAt()) are only valid when both domains are
- * quiesced — the co-simulation calls them single-threaded or at
- * epoch barriers.
+ * Credits are computed from the live consumer queue plus the
+ * messages in flight, so pump() and deliver() must run on one thread
+ * (CoSim's loop); nextEventAt() reads both ends.
  *
  * Contract: channels deliver every message exactly once, in order,
  * after a bus-model delay; they never overflow the consumer half
@@ -42,15 +27,12 @@
 #ifndef BCL_PLATFORM_CHANNEL_HPP
 #define BCL_PLATFORM_CHANNEL_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
+#include <deque>
 
-#include "common/spsc.hpp"
 #include "core/partition.hpp"
 #include "obs/metrics.hpp"
 #include "platform/bus.hpp"
-#include "platform/marshal.hpp"
 #include "runtime/store.hpp"
 
 namespace bcl {
@@ -94,9 +76,6 @@ class ChannelTransport
      * @param rx_store Store of the consumer partition.
      * @param link Shared per-direction arbiter.
      * @param bus Timing parameters.
-     * @param threaded Producer and consumer run on different worker
-     *        threads: credits go through the atomic charge counter
-     *        instead of reading the consumer queue directly.
      *
      * Pickup->deliver flow arrows, stall instants and the occupancy
      * histogram are emitted whenever the global recorder / registry
@@ -104,11 +83,12 @@ class ChannelTransport
      */
     ChannelTransport(const ChannelSpec &spec, Store &tx_store,
                      Store &rx_store, LinkArbiter &link,
-                     const BusParams &bus, bool threaded = false);
+                     const BusParams &bus);
 
     /**
      * Producer end. Pick up messages staged in the producer half at
-     * time @p now: marshal, acquire the link, and put them in flight.
+     * time @p now: acquire the link for the marshaled payload size
+     * and put them in flight.
      * Safe to call repeatedly with non-decreasing @p now.
      */
     void pump(std::uint64_t now);
@@ -120,24 +100,8 @@ class ChannelTransport
      */
     bool deliver(std::uint64_t now);
 
-    /** Consumer end: earliest in-flight arrival, or UINT64_MAX. */
-    std::uint64_t
-    nextArrivalAt() const
-    {
-        const InFlight *f =
-            threaded_ && visible_ == 0 ? nullptr : ring_.front();
-        return f ? f->deliverAt
-                 : std::numeric_limits<std::uint64_t>::max();
-    }
-
-    /** Epoch barrier (both ends quiesced). A threaded transport runs
-     *  in epochs: each end sees the other's pickups and freed credits
-     *  only as of the latest barrier (reproducible threaded runs). */
-    void barrier();
-
     /** Earliest pending event (arrival or deferred pickup), or
-     *  UINT64_MAX when nothing is pending. Both-ends view: only
-     *  valid single-threaded / at an epoch barrier. */
+     *  UINT64_MAX when nothing is pending. */
     std::uint64_t nextEventAt() const;
 
     const ChannelSpec &spec() const { return spec_; }
@@ -146,11 +110,7 @@ class ChannelTransport
   private:
     struct InFlight
     {
-        /** Payload by structure (sequential mode only). */
         Value msg;
-        /** Payload as canonical marshaled words (threaded mode only:
-         *  the two domain threads must share no Value state). */
-        std::vector<std::uint32_t> words;
         std::uint64_t deliverAt = 0;
     };
 
@@ -161,25 +121,9 @@ class ChannelTransport
     Store &rxStore;
     LinkArbiter &link;
     BusParams bus;
-    bool threaded_;
 
-    SpscQueue<InFlight> ring_;
-
-    /**
-     * Threaded-mode credit charge: messages counted against the
-     * consumer's capacity (in flight + believed still in the consumer
-     * queue). The producer increments at pickup; the consumer
-     * observes its queue drain at deliver() entry and the charge
-     * drops by that amount at the next barrier().
-     * The observation lags the actual drain, so the charge is always
-     * conservative — the rx-overflow panic in deliver() stays a hard
-     * invariant under threading.
-     */
-    std::atomic<int> charged_{0};
-    /** Consumer-side memo of the last observed rx queue size. */
-    size_t lastRxSize_ = 0;
-    size_t visible_ = 0;   ///< threaded: in-flight messages published
-    int freed_ = 0;        ///< credits freed since the last barrier
+    /** Messages on the wire, in pickup (= delivery) order. */
+    std::deque<InFlight> inFlight_;
 
     // Producer-side deferral episode being accrued (stall fix:
     // charge deferred *cycles*, not pump attempts). stalledSince_ is
@@ -195,9 +139,9 @@ class ChannelTransport
     //    enabled) -----------------------------------------------------
     /** Flow-id base unique to this transport; pickup N and delivery
      *  N share id flowBase_ + N (exactly-once in-order delivery
-     *  makes the pairing exact across threads). */
+     *  makes the pairing exact). */
     std::uint64_t flowBase_;
-    /** Consumer-end delivery sequence (consumer thread only). */
+    /** Consumer-end delivery sequence. */
     std::uint64_t delivered_ = 0;
     /** Rx queue depth observed at delivery time. */
     obs::Histogram &occupancy_;

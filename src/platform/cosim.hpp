@@ -25,19 +25,11 @@
  * Tests verify bit-identical outputs across all partitionings of a
  * program.
  *
- * Parallelism (CosimConfig::threads): with threads > 1 every
- * partition advances on its own worker thread, synchronized by epoch
- * barriers at the kSwQuantum granularity; channel messages cross
- * between workers over thread-safe SPSC transports. The LIBDN
- * latency-insensitivity guarantee is exactly what makes this
- * semantics-preserving — domains may race ahead of each other
- * arbitrarily and functional outputs cannot change. threads == 1
- * takes the historical single-threaded loop bit for bit (outputs,
- * firing counts AND reported cycle counts); threads > 1 keeps
- * outputs and firing counts bit-identical while reported cycle
- * counts shift within an epoch (reproducibly: workers see each
- * other's channel traffic only at barriers). See "Parallel
- * co-simulation" in docs/ARCHITECTURE.md.
+ * One thread runs the whole loop: every domain slices in turn, so
+ * reported cycle counts are a pure function of program, partitioning
+ * and config. Cores are used across sessions instead (serve/pool.hpp);
+ * docs/EXPERIMENTS.md records why domains do not run on their own
+ * threads.
  *
  * Contract: construct from a PartitionResult whose parts/channels are
  * untouched since partitionProgram(); the cosim owns one executor per
@@ -167,14 +159,10 @@ struct CosimConfig
     CostModel swCosts;
 
     /**
-     * Worker threads for the co-simulation. 1 (default) runs the
-     * exact historical single-threaded loop. >1 runs each partition
-     * on a worker thread (domains are distributed round-robin when
-     * there are more domains than threads), synchronized by epoch
-     * barriers. 0 = one thread per domain up to
-     * std::thread::hardware_concurrency(). Outputs and firing counts
-     * are identical in every mode; cycle counts can shift within an
-     * epoch at threads > 1.
+     * Worker threads for the co-simulation. The loop is sequential,
+     * so 1 is the only legal value; CoSim rejects anything else with
+     * a FatalError. The field stays so existing callers that spell
+     * out threads = 1 keep compiling.
      */
     int threads = 1;
 
@@ -196,10 +184,9 @@ struct CosimConfig
      * Channel transports always stay in the coordinator over the
      * domain's mirror store — placement is a late, semantics-free
      * choice (§4.4): outputs and firing counts are byte-identical
-     * across transports, only reported cycle counts may shift (the
-     * same license threads > 1 already uses). Remote transports
-     * force the sequential engine. Software domains always run
-     * in-thread (host drivers call into them directly).
+     * across transports, only reported cycle counts may shift.
+     * Software domains always run in-thread (host drivers call into
+     * them directly).
      */
     TransportKind defaultTransport = TransportKind::InThread;
 
@@ -224,16 +211,9 @@ struct CosimConfig
 };
 
 /**
- * Host-side input source driving a software partition.
- *
- * Threading contract: in parallel co-simulation step() runs on the
- * owning domain's worker thread (never concurrently with itself),
- * while done() and the CoSim::run completion predicate run on the
- * coordinating thread at epoch barriers. Closures touching shared
- * host state (input cursors, result buffers) need no locks as long
- * as that state is only used by this driver and the completion
- * predicate — the epoch barrier orders them — but must not touch
- * other domains' engines or stores.
+ * Host-side input source driving a software partition. step() and
+ * done() run on the thread that calls CoSim::run, interleaved with
+ * the domain slices and the completion predicate.
  */
 struct SwDriver
 {
@@ -262,7 +242,8 @@ inline constexpr double kSwCyclesPerWork = 0.23;
  * The executor behind partition @p part per swBackend / hwBackend /
  * transportOf — the only code that names a concrete backend. In-
  * process hardware steps one counted cycle at a time when
- * @p per_cycle (the sequential engine), else in budget-sized bursts.
+ * @p per_cycle (CoSim's own executors), else in budget-sized bursts
+ * (the forked remote child, which is offered whole slices).
  */
 std::unique_ptr<DomainExecutor> makeDomainExecutor(
     const PartitionPart &part, const CosimConfig &cfg, Store &mirror,
@@ -304,7 +285,7 @@ class CoSim
 
     /** Pid of a remote hardware domain's child process; -1 when the
      *  domain is local or attached to an external host (fault-
-     *  injection tests use this to kill a peer mid-epoch). */
+     *  injection tests use this to kill a peer mid-run). */
     pid_t remotePid(const std::string &domain) const;
 
     /** Channel transports (for traffic statistics). */
@@ -333,8 +314,7 @@ class CoSim
      * (DomainExecutor::rebindThread). The serving layer calls this
      * when a session yields its frame quantum so the next worker
      * that claims the session may drive it; the pool's ready queue is
-     * the required synchronization point. The parallel engine already
-     * does the same at shutdown.
+     * the required synchronization point.
      */
     void rebindCompiledThreads();
 
@@ -348,9 +328,8 @@ class CoSim
      * Publish this cosim's state under the stable metric names
      * (cosim.fpga_cycles, cosim.sw_work, cosim.domain.<d>.cycles,
      * cosim.channel.<c>.*). The internal structs stay the source of
-     * truth; call while quiesced (after run(), or at an epoch
-     * barrier) — set() semantics, so the registry reflects THIS
-     * cosim afterwards.
+     * truth; call while quiesced (after run()) — set() semantics, so
+     * the registry reflects THIS cosim afterwards.
      */
     void snapshotMetrics(obs::MetricsRegistry &reg) const;
 
@@ -384,24 +363,13 @@ class CoSim
     void pumpFrom(const std::string &domain, std::uint64_t time);
     bool deliverTo(const std::string &domain, std::uint64_t time);
     std::uint64_t nextChannelEvent() const;
-    /** Next delivery addressed to @p domain (consumer-end view in
-     *  parallel mode; both-ends view otherwise). */
+    /** Next event (arrival or deferred pickup) of a channel addressed
+     *  to @p domain. */
     std::uint64_t nextDeliveryTo(const std::string &domain) const;
     std::uint64_t hwHorizon() const;
     void advancePast(std::uint64_t next);
 
-    /** The single-threaded virtual-time loop (threads == 1). */
-    std::uint64_t runSequential(const std::function<bool(CoSim &)> &done);
-    /** One worker per domain, epoch barriers (threads > 1). */
-    std::uint64_t runParallel(const std::function<bool(CoSim &)> &done);
-    /** Barrier-time channel sweep; true when any message moved. */
-    bool sweepChannels();
-    std::uint64_t domainTime(const std::string &domain) const;
-
     CosimConfig cfg;
-    /** True when run() executes the epoch-parallel engine; fixed at
-     *  construction so transports are built thread-safe. */
-    bool parallel_ = false;
     std::vector<SwProc> swProcs;
     std::vector<HwProc> hwProcs;
     std::vector<std::unique_ptr<ChannelTransport>> transports;

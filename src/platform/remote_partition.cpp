@@ -583,7 +583,7 @@ RemoteHwPartition::exchangeIn(Store &mirror)
             m.flowId = nextFlow_++;
             m.payload = marshalValue(v);
             if (!link_->send(m, timeoutMs_))
-                die("shipping a channel message failed mid-epoch");
+                die("shipping a channel message failed mid-slice");
             moved = true;
         }
         queue.pop_front(queue.size());
@@ -599,7 +599,7 @@ RemoteHwPartition::step(std::uint64_t budget)
     runF.type = FrameType::Run;
     runF.arg = budget;
     if (!link_->send(runF, timeoutMs_))
-        die("slice request failed mid-epoch (peer dead?)");
+        die("slice request failed (peer dead?)");
 
     ExecStep res;
     for (;;) {
@@ -608,9 +608,9 @@ RemoteHwPartition::step(std::uint64_t budget)
         if (st == RecvStatus::Timeout)
             die("slice overran the transport timeout");
         if (st == RecvStatus::Closed)
-            die("peer died mid-epoch");
+            die("peer died mid-slice");
         if (st == RecvStatus::Corrupt)
-            die("transport corrupt mid-epoch: " + link_->error());
+            die("transport corrupt mid-slice: " + link_->error());
         if (f.type == FrameType::Error)
             die("peer reported: " + f.text());
         if (f.type == FrameType::Msg) {

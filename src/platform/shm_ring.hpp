@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared-memory word ring for cross-process co-simulation: the
- * src/common/spsc.hpp idea re-expressed over a mmap'd segment with
+ * Shared-memory word ring for cross-process co-simulation: a
+ * single-producer/single-consumer ring over a mmap'd segment with
  * process-shared atomics, so one end of a channel (or a whole
  * partition relay) can live in a forked child process.
  *

@@ -44,15 +44,14 @@
  * popPrim / popDevice / callActionMethod) must come from one thread
  * at a time. The partition *enforces* this per instance — the first
  * mutating call binds the owning thread and a call from any other
- * thread panics — so a parallel co-simulation (or serving pool) that
- * accidentally shared an instance across workers fails loudly
- * instead of corrupting the shadow state. Two instances of the same
- * artifact are independent and may be driven from two threads
- * concurrently. Ownership of one instance moves between threads only
- * through an explicit rebindThread() at a synchronization point (the
- * co-simulation calls it at epoch-barrier boundaries; the serving
- * pool calls it when a session is requeued so the next worker can
- * claim it). Counter reads (rulesFired / rulesAttempted) do not bind
+ * thread panics — so a serving pool that accidentally shared an
+ * instance across workers fails loudly instead of corrupting the
+ * shadow state. Two instances of the same artifact are independent
+ * and may be driven from two threads concurrently. Ownership of one
+ * instance moves between threads only through an explicit
+ * rebindThread() at a synchronization point (the serving pool calls
+ * it when a session is requeued so the next worker can claim it).
+ * Counter reads (rulesFired / rulesAttempted) do not bind
  * ownership, but they read plain (non-atomic) counters inside the
  * shared object — reading them while another thread is actively
  * driving the instance is a data race; read them from the owning

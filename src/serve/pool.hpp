@@ -143,9 +143,8 @@ class SessionManager
     WorkerPool &pool() { return pool_; }
 
     /**
-     * Create a session over @p parts. @p cfg is taken as-is except:
-     * threads is forced to 1 (Session does this), and when
-     * swBackend == Compiled with no compileProvider set, the
+     * Create a session over @p parts. @p cfg is taken as-is except
+     * that when swBackend == Compiled with no compileProvider set, the
      * manager's shared cache is wired in — every session of the same
      * generated source then shares one CompiledArtifact.
      */

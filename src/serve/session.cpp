@@ -13,10 +13,6 @@ Session::Session(int id, const PartitionResult &parts,
 {
     if (!spec_.progress)
         fatal("serve: StreamSpec needs a progress counter");
-    // One session = one stream = one worker at a time; parallelism
-    // lives across sessions in the pool, so the cosim itself runs
-    // the exact sequential engine.
-    cfg.threads = 1;
     cosim_ = std::make_unique<CoSim>(parts, std::move(cfg));
     if (spec_.driver.step)
         cosim_->setDriver(spec_.swDomain, spec_.driver);

@@ -8,10 +8,10 @@
  * sharing the compiled artifact through the CompileCache — the
  * share-the-artifact / isolate-the-instance split.
  *
- * A Session wraps one single-threaded CoSim (cfg.threads forced to
- * 1: serving parallelism is ACROSS sessions, not within one) plus a
- * stream spec: an input driver, a monotone progress counter (e.g.
- * "PCM frames decoded") and a target. advance() runs the cosim until
+ * A Session wraps one CoSim (its loop is sequential: serving
+ * parallelism is ACROSS sessions, not within one) plus a stream
+ * spec: an input driver, a monotone progress counter (e.g. "PCM
+ * frames decoded") and a target. advance() runs the cosim until
  * the counter gains at least one unit — one frame quantum; a deep
  * pipeline may drain several frames in one step — then releases
  * compiled-partition thread ownership so the next pool worker can

@@ -373,8 +373,8 @@ TEST_P(CodegenExec, CosimBackendSwitchIsFunctionallyInvisible)
 /**
  * Thread confinement: the first mutating ABI call binds the owning
  * thread, a second thread panics until rebindThread() moves
- * ownership at a synchronization point (the contract the parallel
- * co-simulation relies on).
+ * ownership at a synchronization point (the contract the serving pool
+ * relies on when a session migrates between workers).
  */
 TEST(CodegenExecConfinement, SecondThreadPanicsUntilRebound)
 {

@@ -2,9 +2,9 @@
  * @file
  * Tests of the unified observability layer (src/obs/): trace JSON
  * well-formedness and parse-back, span nesting balance per thread,
- * flow-id pairing of channel pickup/deliver across cosim worker
- * threads, histogram bucket math, registry typing, the disabled-path
- * overhead guard, the serving/remote event sites, and — the
+ * flow-id pairing of channel pickup/deliver, histogram bucket math,
+ * registry typing, the disabled-path overhead guard, the
+ * serving/remote event sites, and — the
  * property everything else leans on — byte-identical workload
  * outputs with tracing on and off.
  *
@@ -514,22 +514,20 @@ TEST(TraceRecorder, LongNamesAreTruncatedNotCorrupted)
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: a traced parallel cosim run emits channel flows, slice
-// spans and epoch spans — and its outputs match the untraced run.
+// End-to-end: a traced partitioned cosim run emits channel flows and
+// slice spans — and its outputs match the untraced run.
 // ---------------------------------------------------------------------------
 
-TEST(TracedCosim, PartitionedRunEmitsFlowsSlicesAndEpochs)
+TEST(TracedCosim, PartitionedRunEmitsFlowsAndSlices)
 {
     ScopedObs on;
-    CosimConfig cfg;
-    cfg.threads = 2;  // parallel engine: worker slice spans
-    RunResult r = runWorkload("vorbis_B", {.frames = 2}, cfg);
+    RunResult r = runWorkload("vorbis_B", {.frames = 2});
     ASSERT_FALSE(r.output.empty());
     ASSERT_GT(r.messages, 0u);
 
     Json root = JsonParser(obs::trace().toJson()).parse();
     std::multiset<std::string> starts, ends;
-    int slices = 0, epochs = 0;
+    int slices = 0;
     for (const Json &e : root.at("traceEvents").arr) {
         const std::string &ph = e.at("ph").str;
         if (ph == "s")
@@ -538,8 +536,6 @@ TEST(TracedCosim, PartitionedRunEmitsFlowsSlicesAndEpochs)
             ends.insert(e.at("id").str);
         if (ph == "B" && e.at("cat").str == "cosim.slice")
             slices++;
-        if (ph == "B" && e.at("name").str == "epoch")
-            epochs++;
     }
     // Every picked-up message was delivered: ids pair exactly, one
     // flow per message.
@@ -547,10 +543,6 @@ TEST(TracedCosim, PartitionedRunEmitsFlowsSlicesAndEpochs)
     EXPECT_EQ(starts, ends);
     EXPECT_EQ(starts.size(), static_cast<size_t>(r.messages));
     EXPECT_GT(slices, 0);
-    EXPECT_GT(epochs, 0);
-    // The registry side saw epoch wall times and channel occupancy.
-    EXPECT_GT(obs::metrics().histogram("cosim.epoch.wall_us").count(),
-              0u);
 }
 
 TEST(TracedCosim, OutputsIdenticalWithTracingOnAndOff)
@@ -576,13 +568,12 @@ TEST(TracedCosim, SnapshotPublishesCosimMetrics)
 {
     ScopedObs on;
     // Build a cosim directly so we can snapshot it: partition B, tiny
-    // run, sequential (snapshot is a quiesced-state operation).
+    // run (snapshot is a quiesced-state operation).
     const NamedWorkload &b = findWorkload("vorbis_B");
     const WorkloadSize size{.frames = 1};
     PartitionResult parts =
         partitionWorkload(*b.workload, b.partition->domains, size, 7);
     CosimConfig cfg;
-    cfg.threads = 1;
     cfg.swBackend = SwBackend::Interpreted;
     CoSim cs(parts, cfg);
     StreamSpec spec = b.workload->stream(parts, size, 7);

@@ -9,9 +9,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <thread>
-
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "core/builder.hpp"
@@ -624,71 +621,24 @@ TEST(Channel, StallChargesDeferredCyclesNotPumpAttempts)
     EXPECT_EQ(ch.stats().stallEvents, 1u);
 }
 
-TEST(Channel, RxOverflowPanicStillFiresUnderThreading)
+TEST(Channel, RxOverflowPanics)
 {
-    // The credit invariant is enforced at delivery even in threaded
-    // mode (where credits go through the atomic charge instead of a
-    // live read of the consumer queue). Violate it deliberately by
-    // stuffing the consumer half behind the transport's back.
+    // The credit invariant is enforced at delivery: stuff the consumer
+    // half behind the transport's back after a pickup and the landing
+    // message must panic instead of overflowing the synchronizer.
     TransportRig rig;
     ChannelTransport ch(rig.spec, *rig.txStore, *rig.rxStore, rig.link,
-                        BusParams{},
-                        /*threaded=*/true);
+                        BusParams{});
 
     rig.txStore->at(rig.spec.txPrim).queue.push_back(rig.msg(1));
     ch.pump(0);
     ASSERT_EQ(ch.stats().messages, 1u);
-    ch.barrier();  // epoch boundary: the pickup becomes deliverable
 
     PrimState &rx = rig.rxStore->at(rig.spec.rxPrim);
     for (int i = 0; i < rig.spec.capacity; i++)
         rx.queue.push_back(rig.msg(200 + i));
 
     EXPECT_THROW(ch.deliver(100000), PanicError);
-}
-
-TEST(Channel, ThreadedCreditsObserveConsumerDrain)
-{
-    // Threaded mode: the producer's credit view is the atomic charge;
-    // the consumer observes its queue drain at deliver() and the
-    // charge drops at the next epoch barrier. barrier() is called
-    // where the parallel engine would call it.
-    TransportRig rig;
-    ChannelTransport ch(rig.spec, *rig.txStore, *rig.rxStore, rig.link,
-                        BusParams{},
-                        /*threaded=*/true);
-
-    PrimState &tx = rig.txStore->at(rig.spec.txPrim);
-    PrimState &rx = rig.rxStore->at(rig.spec.rxPrim);
-    for (int i = 0; i < rig.spec.capacity + 2; i++)
-        tx.queue.push_back(rig.msg(i));
-
-    ch.pump(0);
-    // capacity messages picked up, the rest deferred for credit.
-    EXPECT_EQ(ch.stats().messages,
-              static_cast<std::uint64_t>(rig.spec.capacity));
-    EXPECT_EQ(tx.queue.size(), 2u);
-
-    ch.barrier();
-    ch.deliver(100000);
-    EXPECT_EQ(rx.queue.size(),
-              static_cast<size_t>(rig.spec.capacity));
-
-    // Deliveries alone free no credits (messages still occupy the
-    // consumer queue)...
-    ch.pump(100000);
-    EXPECT_EQ(tx.queue.size(), 2u);
-
-    // ...until the consumer dequeues, the next deliver() call
-    // observes the drain and the next barrier publishes it.
-    rx.queue.pop_front();
-    rx.queue.pop_front();
-    ch.deliver(100001);
-    ch.barrier();
-    ch.pump(100001);
-    EXPECT_EQ(tx.queue.size(), 0u);
-    EXPECT_EQ(ch.stats().messages,
-              static_cast<std::uint64_t>(rig.spec.capacity) + 2);
 }
 
 TEST(Channel, ValueQueueOverPopPanics)
@@ -706,30 +656,22 @@ TEST(Channel, ValueQueueOverPopPanics)
     EXPECT_EQ(q.front().asInt(), 2);
 }
 
-// ---------------------------------------------------------------------------
-// Parallel co-simulation: the LIBDN guarantee in action. Outputs and
-// firing counts must be byte-identical for every thread count; only
-// cycle accounting may shift at threads > 1.
-// ---------------------------------------------------------------------------
-
-TEST(CoSimParallel, EchoMatchesSequentialOutputs)
+TEST(CoSim, RejectsThreadCountsOtherThanOne)
 {
-    std::vector<std::int64_t> inputs;
-    for (int i = 0; i < 50; i++)
-        inputs.push_back(i * 3 - 25);
-    std::vector<std::int64_t> ref = referenceRun(inputs);
-
-    for (int threads : {2, 4}) {
+    // The loop is sequential; CosimConfig::threads only accepts 1.
+    Program p = makeEchoProgram();
+    ElabProgram elab = elaborate(p);
+    DomainAssignment doms = inferDomains(elab);
+    PartitionResult parts = partitionProgram(elab, doms);
+    for (int threads : {0, 2}) {
         CosimConfig cfg;
         cfg.threads = threads;
-        std::uint64_t cycles = 0;
-        std::vector<std::int64_t> out = cosimRun(inputs, &cycles, cfg);
-        EXPECT_EQ(out, ref) << "threads=" << threads;
-        EXPECT_GT(cycles, 0u);
+        EXPECT_THROW(CoSim cosim(parts, cfg), FatalError)
+            << "threads=" << threads;
     }
 }
 
-TEST(CoSimParallel, TracingOnMatchesTracingOff)
+TEST(CoSim, TracingOnMatchesTracingOff)
 {
     // Tracing is purely observational: with the global recorder and
     // registry enabled, outputs AND cycle accounting stay
@@ -738,15 +680,13 @@ TEST(CoSimParallel, TracingOnMatchesTracingOff)
     std::vector<std::int64_t> inputs;
     for (int i = 0; i < 50; i++)
         inputs.push_back(i * 7 - 100);
-    CosimConfig cfg;
-    cfg.threads = 2;
     std::uint64_t cycles_off = 0;
-    std::vector<std::int64_t> off = cosimRun(inputs, &cycles_off, cfg);
+    std::vector<std::int64_t> off = cosimRun(inputs, &cycles_off);
 
     obs::trace().enable(true);
     obs::metrics().enable(true);
     std::uint64_t cycles_on = 0;
-    std::vector<std::int64_t> on = cosimRun(inputs, &cycles_on, cfg);
+    std::vector<std::int64_t> on = cosimRun(inputs, &cycles_on);
     obs::trace().enable(false);
     obs::metrics().enable(false);
     obs::trace().clear();
@@ -755,72 +695,18 @@ TEST(CoSimParallel, TracingOnMatchesTracingOff)
     EXPECT_EQ(cycles_on, cycles_off);
 }
 
-TEST(CoSimParallel, DeadlockIsReportedNotHungAcrossThreads)
-{
-    // Same shape as CoSim.DeadlockIsReportedNotHung but through the
-    // epoch-parallel engine: worker quiescence + empty channels must
-    // surface as FatalError, not a barrier hang.
-    ModuleBuilder b("Top");
-    b.addSync("toHw", w32(), 2, "SW", "HW");
-    b.addAudioDev("out", "SW");
-    b.addReg("sink", w32());
-    b.addActionMethod("push", {{"x", w32()}},
-                      callA("toHw", "enq", {varE("x")}), "SW");
-    b.addRule("consume", parA({regWrite("sink", callV("toHw", "first")),
-                               callA("toHw", "deq")}));
-    Program p = ProgramBuilder().add(b.build()).setRoot("Top").build();
-    ElabProgram elab = elaborate(p);
-    DomainAssignment doms = inferDomains(elab);
-    PartitionResult parts = partitionProgram(elab, doms);
-
-    CosimConfig cfg;
-    cfg.threads = 2;
-    CoSim cosim(parts, cfg);
-    const PartitionPart &sw = parts.part("SW");
-    int push = sw.prog.rootMethod("push");
-    int out_prim = sw.prog.primByPath("out");
-    bool pushed = false;
-    SwDriver driver;
-    driver.step = [&](SwPort &port) -> std::uint64_t {
-        if (pushed)
-            return 0;
-        if (port.callActionMethod(push, {Value::makeInt(32, 1)})) {
-            pushed = true;
-            return 1;
-        }
-        return 0;
-    };
-    driver.done = [&] { return pushed; };
-    cosim.setDriver("SW", driver);
-
-    EXPECT_THROW(cosim.run([&](CoSim &cs) {
-        return !cs.storeOf("SW").at(out_prim).queue.empty();
-    }),
-                 FatalError);
-}
-
 // ---------------------------------------------------------------------------
-// Determinism matrix: every Vorbis / ray-tracer partitioning (the
-// lettered Figure 12/14 configurations plus the per-stage splits that
-// give the parallel engine >= 3 domains), under threads in {1, 2,
-// hardware_concurrency}, must produce byte-identical outputs and
-// firing counts. The software backend axis is covered where the
-// harness supports it: Vorbis runs Interpreted AND Compiled; the ray
-// harness reads results back through mirror registers, which the
-// compiled ABI does not sync, so ray runs Interpreted (see
-// docs/ARCHITECTURE.md "Executing generated software").
+// Determinism matrix: Vorbis / ray-tracer partitionings (the lettered
+// Figure 12/14 configurations plus the per-stage splits with >= 3
+// domains) must reproduce the interpreted in-thread ml507 reference
+// across the software backend, the hardware backend, the platform
+// model and the partition transport. Outputs and firing counts are
+// byte-identical on every axis; the compiled hardware backend is also
+// cycle-exact. The ray harness reads results back through mirror
+// registers, which the compiled software ABI does not sync, so ray
+// runs interpreted software (see docs/ARCHITECTURE.md "Executing
+// generated software").
 // ---------------------------------------------------------------------------
-
-std::vector<int>
-matrixThreadCounts()
-{
-    unsigned hc = std::thread::hardware_concurrency();
-    std::vector<int> counts{1, 2};
-    int big = static_cast<int>(hc > 2 ? hc : 4);
-    if (std::find(counts.begin(), counts.end(), big) == counts.end())
-        counts.push_back(big);
-    return counts;
-}
 
 /** Every registered partition of @p workload ("vorbis_F", ...). */
 std::vector<std::string>
@@ -834,67 +720,32 @@ namesOf(const std::string &workload)
     return names;
 }
 
-TEST(CoSimParallel, VorbisDeterminismMatrixInterpreted)
-{
-    const WorkloadSize size{.frames = 2};
-    const std::vector<std::string> configs = namesOf("vorbis");
-
-    for (size_t ci = 0; ci < configs.size(); ci++) {
-        RunResult ref;
-        bool have_ref = false;
-        for (int threads : matrixThreadCounts()) {
-            CosimConfig cfg;
-            cfg.threads = threads;
-            RunResult r = runWorkload(configs[ci], size, cfg);
-            if (!have_ref) {
-                ref = r;
-                have_ref = true;
-                EXPECT_FALSE(ref.output.empty());
-                continue;
-            }
-            EXPECT_EQ(r.output, ref.output)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
-                << "config " << ci << " threads=" << threads;
-        }
-    }
-}
-
-TEST(CoSimParallel, VorbisDeterminismMatrixCompiled)
+TEST(CoSimMatrix, VorbisDeterminismMatrixCompiled)
 {
     if (!CompiledPartition::hostCompilerAvailable())
         GTEST_SKIP() << "no host compiler";
     const WorkloadSize size{.frames = 2};
     const std::vector<std::string> configs = namesOf("vorbis");
 
-    // Interpreted threads=1 is the golden reference for the compiled
-    // backend too (PR 4's differential contract).
+    // Interpreted is the golden reference for the compiled backend
+    // (the differential contract).
     for (size_t ci = 0; ci < configs.size(); ci++) {
-        CosimConfig ref_cfg;
-        RunResult ref = runWorkload(configs[ci], size, ref_cfg);
-        for (int threads : matrixThreadCounts()) {
-            CosimConfig cfg;
-            cfg.threads = threads;
-            cfg.swBackend = SwBackend::Compiled;
-            RunResult r = runWorkload(configs[ci], size, cfg);
-            EXPECT_EQ(r.output, ref.output)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
-                << "config " << ci << " threads=" << threads;
-        }
+        RunResult ref = runWorkload(configs[ci], size);
+        EXPECT_FALSE(ref.output.empty()) << "config " << ci;
+        CosimConfig cfg;
+        cfg.swBackend = SwBackend::Compiled;
+        RunResult r = runWorkload(configs[ci], size, cfg);
+        EXPECT_EQ(r.output, ref.output) << "config " << ci;
+        EXPECT_EQ(r.swRulesFired, ref.swRulesFired) << "config " << ci;
     }
 }
 
 // The hardware-backend axis: every run below must reproduce the
-// interpreted threads=1 golden reference — and because the two
-// hardware backends are cycle-exact against each other (unlike the
-// software ones), hwRuleFires must match at every thread count and
-// fpgaCycles must match at threads=1. One CompileCache dedupes the
-// per-partition compiles across the thread axis.
+// interpreted golden reference — and because the two hardware
+// backends are cycle-exact against each other (unlike the software
+// ones), hwRuleFires and fpgaCycles must match too.
 
-TEST(CoSimParallel, VorbisDeterminismMatrixCompiledHw)
+TEST(CoSimMatrix, VorbisDeterminismMatrixCompiledHw)
 {
     if (!CompiledHwPartition::hostCompilerAvailable())
         GTEST_SKIP() << "no host compiler";
@@ -907,46 +758,33 @@ TEST(CoSimParallel, VorbisDeterminismMatrixCompiledHw)
         return cache.get(prog, opts);
     };
 
+    RunResult ref;
     for (size_t ci = 0; ci < configs.size(); ci++) {
-        RunResult ref = runWorkload(configs[ci], size);
-        for (int threads : matrixThreadCounts()) {
-            CosimConfig cfg;
-            cfg.threads = threads;
-            cfg.hwBackend = HwBackend::Compiled;
-            cfg.compileProvider = provider;
-            RunResult r = runWorkload(configs[ci], size, cfg);
-            EXPECT_EQ(r.output, ref.output)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
-                << "config " << ci << " threads=" << threads;
-            if (threads == 1) {
-                EXPECT_EQ(r.fpgaCycles, ref.fpgaCycles)
-                    << "config " << ci
-                    << ": sequential compiled hw must be cycle-exact";
-            }
-        }
-    }
-
-    // Both backends compiled at once (the all-generated pipeline);
-    // the software side only promises output/firing equivalence, so
-    // cycle counts are not compared here.
-    for (int threads : {1, 2}) {
+        ref = runWorkload(configs[ci], size);
         CosimConfig cfg;
-        cfg.threads = threads;
-        cfg.swBackend = SwBackend::Compiled;
         cfg.hwBackend = HwBackend::Compiled;
         cfg.compileProvider = provider;
-        RunResult ref = runWorkload(configs.back(), size);
-        RunResult r = runWorkload(configs.back(), size, cfg);
-        EXPECT_EQ(r.output, ref.output) << "threads=" << threads;
-        EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
-            << "threads=" << threads;
+        RunResult r = runWorkload(configs[ci], size, cfg);
+        EXPECT_EQ(r.output, ref.output) << "config " << ci;
+        EXPECT_EQ(r.swRulesFired, ref.swRulesFired) << "config " << ci;
+        EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires) << "config " << ci;
+        EXPECT_EQ(r.fpgaCycles, ref.fpgaCycles)
+            << "config " << ci << ": compiled hw must be cycle-exact";
     }
+
+    // Both backends compiled at once (the all-generated pipeline) on
+    // the last config; the software side only promises
+    // output/firing equivalence, so cycle counts are not compared.
+    CosimConfig cfg;
+    cfg.swBackend = SwBackend::Compiled;
+    cfg.hwBackend = HwBackend::Compiled;
+    cfg.compileProvider = provider;
+    RunResult r = runWorkload(configs.back(), size, cfg);
+    EXPECT_EQ(r.output, ref.output);
+    EXPECT_EQ(r.swRulesFired, ref.swRulesFired);
 }
 
-TEST(CoSimParallel, RayDeterminismMatrixCompiledHw)
+TEST(CoSimMatrix, RayDeterminismMatrixCompiledHw)
 {
     if (!CompiledHwPartition::hostCompilerAvailable())
         GTEST_SKIP() << "no host compiler";
@@ -961,61 +799,25 @@ TEST(CoSimParallel, RayDeterminismMatrixCompiledHw)
 
     for (size_t ci = 0; ci < configs.size(); ci++) {
         RunResult ref = runWorkload(configs[ci], size);
-        for (int threads : {1, 2}) {
-            CosimConfig cfg;
-            cfg.threads = threads;
-            cfg.hwBackend = HwBackend::Compiled;
-            cfg.compileProvider = provider;
-            RunResult r = runWorkload(configs[ci], size, cfg);
-            EXPECT_EQ(r.output, ref.output)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
-                << "config " << ci << " threads=" << threads;
-            if (threads == 1) {
-                EXPECT_EQ(r.fpgaCycles, ref.fpgaCycles)
-                    << "config " << ci
-                    << ": sequential compiled hw must be cycle-exact";
-            }
-        }
-    }
-}
-
-TEST(CoSimParallel, RayDeterminismMatrixInterpreted)
-{
-    const int w = 6, h = 6;
-    const WorkloadSize size{.side = w, .prims = 32};
-    const std::vector<std::string> configs = namesOf("ray");
-
-    for (size_t ci = 0; ci < configs.size(); ci++) {
-        RunResult ref;
-        bool have_ref = false;
-        for (int threads : matrixThreadCounts()) {
-            CosimConfig cfg;
-            cfg.threads = threads;
-            RunResult r = runWorkload(configs[ci], size, cfg);
-            if (!have_ref) {
-                ref = r;
-                have_ref = true;
-                EXPECT_EQ(ref.output.size(),
-                          static_cast<size_t>(w) * h);
-                continue;
-            }
-            EXPECT_EQ(r.output, ref.output)
-                << "config " << ci << " threads=" << threads;
-            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
-                << "config " << ci << " threads=" << threads;
-        }
+        CosimConfig cfg;
+        cfg.hwBackend = HwBackend::Compiled;
+        cfg.compileProvider = provider;
+        RunResult r = runWorkload(configs[ci], size, cfg);
+        EXPECT_EQ(r.output, ref.output) << "config " << ci;
+        EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires) << "config " << ci;
+        EXPECT_EQ(r.fpgaCycles, ref.fpgaCycles)
+            << "config " << ci << ": compiled hw must be cycle-exact";
     }
 }
 
 // ---------------------------------------------------------------------------
-// Transport axis of the determinism matrix: the same LIBDN license
-// (§4.4) that lets threads > 1 shift channel timing also lets a whole
-// hardware partition move OUT OF PROCESS — forked child over
-// shared-memory rings, or framed loopback TCP. Outputs and firing
-// counts must stay byte-identical to the in-thread threads=1
-// reference; only cycle accounting may shift. TCP cases degrade to
-// shm-only when the sandbox forbids loopback sockets.
+// Transport axis of the determinism matrix: the LIBDN license (§4.4)
+// that lets link timing shift also lets a whole hardware partition
+// move OUT OF PROCESS — forked child over shared-memory rings, or
+// framed loopback TCP. Outputs and firing counts must stay
+// byte-identical to the in-thread reference; only cycle accounting
+// may shift. TCP cases degrade to shm-only when the sandbox forbids
+// loopback sockets.
 // ---------------------------------------------------------------------------
 
 std::vector<TransportKind>
@@ -1028,18 +830,18 @@ remoteTransportKinds()
 }
 
 // The platform axis: link timing is a latency-insensitivity axis
-// exactly like threads and transports. Any platform model — here the
+// exactly like transports. Any platform model — here the
 // heterogeneous two-class topology, the strongest case because
 // different channel pairs run under different BusParams in one run —
-// must reproduce the ml507 threads=1 outputs and firing counts, on
-// every thread count, over the shared-memory transport, and under the
-// compiled software backend where the host supports it.
-TEST(CoSimParallel, VorbisDeterminismAcrossPlatformModels)
+// must reproduce the ml507 outputs and firing counts, in-thread, over
+// the shared-memory transport, and under the compiled software
+// backend where the host supports it.
+TEST(CoSimMatrix, VorbisDeterminismAcrossPlatformModels)
 {
     const WorkloadSize size{.frames = 2};
     const std::string config = "vorbis_split";
 
-    CosimConfig ref_cfg; // ml507 preset, threads=1, in-thread
+    CosimConfig ref_cfg; // ml507 preset, in-thread
     RunResult ref = runWorkload(config, size, ref_cfg);
     EXPECT_FALSE(ref.output.empty());
 
@@ -1048,17 +850,13 @@ TEST(CoSimParallel, VorbisDeterminismAcrossPlatformModels)
         loadPlatformSpec(
             BCL_SRC_DIR "/../configs/het_onchip_offchip.config")};
     for (const PlatformSpec &plat : platforms) {
-        for (int threads : matrixThreadCounts()) {
+        {
             CosimConfig cfg;
             cfg.platform = plat;
-            cfg.threads = threads;
             RunResult r = runWorkload(config, size, cfg);
-            EXPECT_EQ(r.output, ref.output)
-                << plat.name << " threads=" << threads;
-            EXPECT_EQ(r.swRulesFired, ref.swRulesFired)
-                << plat.name << " threads=" << threads;
-            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires)
-                << plat.name << " threads=" << threads;
+            EXPECT_EQ(r.output, ref.output) << plat.name;
+            EXPECT_EQ(r.swRulesFired, ref.swRulesFired) << plat.name;
+            EXPECT_EQ(r.hwRuleFires, ref.hwRuleFires) << plat.name;
         }
         {
             CosimConfig cfg;

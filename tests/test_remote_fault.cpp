@@ -5,7 +5,7 @@
  * this suite pins the failure semantics promised by
  * docs/ARCHITECTURE.md "Distributed co-simulation":
  *
- *   - a peer killed mid-epoch surfaces as ONE clean FatalError
+ *   - a peer killed mid-slice surfaces as ONE clean FatalError
  *     naming the domain and pid, bounded by the configured transport
  *     timeout — never a hang, never a second error;
  *   - an ABI or program-signature mismatch is refused during the
