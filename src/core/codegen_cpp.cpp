@@ -1201,6 +1201,30 @@ class CppGen
         w.closeBlock("}");
         w.blank();
 
+        // FIFO occupancy: returns the entry count (-1 = unknown id);
+        // reserve >= 0 first sets the reserved-slot count canEnq
+        // adds to it.
+        w.openBlock("int bcl_gen_prim_size(void *p, int prim, int "
+                    "reserve) {");
+        w.writeLine("auto *self = " + self + ";");
+        w.writeLine("(void)self; (void)reserve;");
+        w.openBlock("switch (prim) {");
+        for (const auto &p : prog.prims) {
+            if (!isFifoKind(p.kind))
+                continue;
+            std::string name = "self->" + ident(p.path);
+            w.openBlock("case " + std::to_string(p.id) + ": {");
+            w.writeLine("if (reserve >= 0) " + name +
+                        ".reserve(reserve);");
+            w.writeLine("return static_cast<int>(" + name +
+                        ".size());");
+            w.closeBlock("}");
+        }
+        w.writeLine("default: return -1;");
+        w.closeBlock("}");
+        w.closeBlock("}");
+        w.blank();
+
         // Device-output drain (AudioDev): same contract as prim_pop.
         w.openBlock("int bcl_gen_dev_pop(void *p, int prim, "
                     "std::uint32_t *words, int nwords) {");

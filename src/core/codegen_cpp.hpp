@@ -41,10 +41,11 @@ enum class CppGenMode : std::uint8_t { Naive, Inlined, Lifted };
  * Besides the partition class itself, the unit carries a fixed
  * `extern "C"` ABI (`bcl_gen_*`) that lets a host harness drive the
  * compiled partition through marshaled 32-bit words without sharing
- * any C++ types with it: create/destroy, run_to_quiescence, push/pop
- * on FIFO-kind primitives (the synchronizer halves of a partition),
- * device-output drain, and transactional root-interface action-method
- * calls. runtime/gencc.hpp is the in-tree consumer.
+ * any C++ types with it: create/destroy, run_to_quiescence,
+ * push/pop/size on FIFO-kind primitives (the synchronizer halves of
+ * a partition), device-output drain, and transactional
+ * root-interface action-method calls. runtime/gencc.hpp is the
+ * in-tree consumer.
  *
  * Partitions that pass the synchronous-hardware validation
  * additionally get a clock-edge scheduler (`hw_cycle`): one function
@@ -62,8 +63,9 @@ std::string generateCpp(const ElabProgram &prog,
 
 /** ABI revision emitted as bcl_gen_abi_version() (bumped whenever the
  *  generated symbol contract changes incompatibly).
- *  v2: bcl_gen_hw_valid / bcl_gen_hw_cycle / bcl_gen_hw_stats. */
-constexpr int kCppGenAbiVersion = 2;
+ *  v2: bcl_gen_hw_valid / bcl_gen_hw_cycle / bcl_gen_hw_stats.
+ *  v3: bcl_gen_prim_size (FIFO occupancy + reserved-slot count). */
+constexpr int kCppGenAbiVersion = 3;
 
 /**
  * The payload type a device primitive (AudioDev / Bitmap) receives:

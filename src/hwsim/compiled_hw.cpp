@@ -1,5 +1,7 @@
 #include "hwsim/compiled_hw.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "core/schedule.hpp"
 
@@ -35,12 +37,10 @@ CompiledHwPartition::checkHwCapable()
                            : err));
     }
     stats_.perRuleFires.assign(program().rules.size(), 0);
-    // A zero template per SyncTx for the occupancy prefill.
-    for (int id : prims_.tx)
-        txZero_.push_back(
-            program().prims[static_cast<size_t>(id)].type->zeroValue());
+    for (int id : prims_.rx)
+        rxCap_.push_back(program().prims[static_cast<size_t>(id)].capacity);
     rxFed_.assign(prims_.rx.size(), 0);
-    txPre_.assign(prims_.tx.size(), 0);
+    txReserved_.assign(prims_.tx.size(), 0);
 }
 
 int
@@ -71,21 +71,24 @@ CompiledHwPartition::exchangeIn(Store &mirror)
     bool moved = false;
     for (size_t i = 0; i < prims_.rx.size(); i++) {
         const auto &queue = mirror.at(prims_.rx[i]).queue;
-        int fed = 0;
-        while (fed < static_cast<int>(queue.size()) &&
-               part_.pushPrim(prims_.rx[i],
-                              queue[static_cast<size_t>(fed)]))
-            fed++;
-        rxFed_[i] = fed;
-        moved |= fed > 0;
+        // A mirror may outgrow the fifo (a remote child's is not
+        // credit-bounded); the surplus waits there for free slots.
+        int want = std::min(static_cast<int>(queue.size()), rxCap_[i]);
+        for (int &fed = rxFed_[i]; fed < want; fed++) {
+            if (!part_.pushPrim(prims_.rx[i],
+                                queue[static_cast<size_t>(fed)]))
+                panic("compiled_hw: a SyncRx refused a message below "
+                      "its capacity");
+            moved = true;
+        }
     }
     for (size_t i = 0; i < prims_.tx.size(); i++) {
-        const auto &queue = mirror.at(prims_.tx[i]).queue;
-        int pre = 0;
-        while (pre < static_cast<int>(queue.size()) &&
-               part_.pushPrim(prims_.tx[i], txZero_[i]))
-            pre++;
-        txPre_[i] = pre;
+        int backlog =
+            static_cast<int>(mirror.at(prims_.tx[i]).queue.size());
+        if (backlog != txReserved_[i]) {
+            part_.primSize(prims_.tx[i], backlog);
+            txReserved_[i] = backlog;
+        }
     }
     return moved;
 }
@@ -96,22 +99,20 @@ CompiledHwPartition::exchangeOut(Store &mirror)
     bool moved = false;
     Value v;
     for (size_t i = 0; i < prims_.rx.size(); i++) {
-        int rem = 0;
-        while (part_.popPrim(prims_.rx[i], v))
-            rem++;
-        int consumed = rxFed_[i] - rem;
+        if (rxFed_[i] == 0)
+            continue;
+        int held = part_.primSize(prims_.rx[i]);
+        int consumed = rxFed_[i] - held;
         if (consumed < 0)
             panic("compiled_hw: rules enqueued into a SyncRx");
         mirror.at(prims_.rx[i])
             .queue.pop_front(static_cast<size_t>(consumed));
+        rxFed_[i] = held;
     }
-    for (size_t i = 0; i < prims_.tx.size(); i++) {
-        auto &queue = mirror.at(prims_.tx[i]).queue;
-        for (int k = 0; k < txPre_[i]; k++) {
-            if (!part_.popPrim(prims_.tx[i], v))
-                panic("compiled_hw: rules consumed a SyncTx prefill");
-        }
-        while (part_.popPrim(prims_.tx[i], v)) {
+    for (int id : prims_.tx) {
+        auto &queue = mirror.at(id).queue;
+        for (int n = part_.primSize(id); n > 0; n--) {
+            part_.popPrim(id, v);
             queue.push_back(std::move(v));
             moved = true;
         }

@@ -22,22 +22,26 @@
  * The compiled instance keeps its own gen::Fifo behind the ABI, and
  * the transports keep talking to the mirror store — so as a
  * DomainExecutor, before each step (a cycle, or a burst: no channel
- * activity happens mid-burst) exchangeIn projects the mirror's
- * occupancy into the instance, and exchangeOut reconciles afterwards:
+ * activity happens mid-burst) exchangeIn brings the instance up to
+ * date with the mirror, and exchangeOut reconciles afterwards. Each
+ * message crosses the ABI once:
  *
- *   SyncRx (rules only dequeue): feed the mirror's messages in order
- *   without removing them from the mirror. After the step, whatever
- *   is left in the instance is a duplicate — drain and discard it;
- *   the difference is how many the rules consumed, and that many are
- *   popped off the mirror front. The mirror stays the full-occupancy
- *   source of truth for the transport's credit checks.
+ *   SyncRx (rules only dequeue): the instance keeps what it was fed,
+ *   which is always a prefix of the mirror queue. exchangeIn pushes
+ *   only the mirror entries past that prefix (up to the fifo's
+ *   capacity). exchangeOut reads the instance's occupancy
+ *   (bcl_gen_prim_size); the prefix shrank by what the rules
+ *   consumed, and that many are popped off the mirror front. The
+ *   mirror stays the full-occupancy source of truth for the
+ *   transport's credit checks. Only exchangeOut pops a compiled
+ *   domain's SyncRx mirror queue, so the prefix never goes stale.
  *
  *   SyncTx (rules only enqueue): the instance fifo is empty between
- *   steps (we drain it fully), but the producer guard must see the
- *   not-yet-delivered backlog or it would never feel backpressure and
- *   cycle counts would diverge. Prefill with one zero-valued dummy
- *   per backlogged mirror entry, step, pop the dummies back off, and
- *   append only the genuinely new messages to the mirror tail.
+ *   steps (exchangeOut moves every new message to the mirror tail),
+ *   but the producer guard must see the not-yet-delivered backlog or
+ *   it would never feel backpressure and cycle counts would diverge.
+ *   exchangeIn sets the fifo's reserved-slot count to the mirror
+ *   backlog (bcl_gen_prim_size again), only when the backlog changed.
  *
  * This relies on the same contract the interpreter enforces
  * dynamically: rules never enqueue into a SyncRx, never dequeue from
@@ -85,7 +89,7 @@ class CompiledHwPartition final : public ClockedPartition
     const HwStats &stats() const;
     const HwStats *hwStats() const override { return &stats(); }
 
-    // The occupancy projection of the file comment.
+    // The incremental exchange of the file comment.
     bool exchangeIn(Store &mirror) override;
     bool exchangeOut(Store &mirror) override;
 
@@ -115,9 +119,9 @@ class CompiledHwPartition final : public ClockedPartition
 
     CompiledPartition part_;
     MirrorPrims prims_;
-    std::vector<Value> txZero_;  ///< zero template per prims_.tx
-    std::vector<int> rxFed_;     ///< per-step scratch, ∥ prims_.rx
-    std::vector<int> txPre_;     ///< per-step scratch, ∥ prims_.tx
+    std::vector<int> rxCap_;       ///< fifo capacity, ∥ prims_.rx
+    std::vector<int> rxFed_;       ///< mirror prefix held, ∥ prims_.rx
+    std::vector<int> txReserved_;  ///< slots reserved, ∥ prims_.tx
 };
 
 } // namespace bcl

@@ -13,8 +13,8 @@
  *     estimator (hwsim/timing.hpp),
  *   - the CPU/FPGA clock ratio.
  *
- * Specs load from a small line-oriented key/value format
- * (configs/*.config, in the simtrax per-unit-table idiom) with
+ * Specs load from a small line-oriented key/value format (the
+ * .config files in configs/, in the simtrax per-unit-table idiom) with
  * line-numbered diagnostics on malformed input, or come from the
  * built-in presets:
  *

@@ -59,14 +59,26 @@ class Reg
     T value;
 };
 
-/** A guarded FIFO with shadow/commit/rollback. */
+/**
+ * A guarded FIFO with shadow/commit/rollback.
+ *
+ * The reserved-slot count is host-set state, not rule state: the
+ * compiled hardware backend reserves one slot per message still
+ * waiting on the host side of a SyncTx, so the producer guard feels
+ * the synchronizer's full occupancy. shadow/rollback/clear leave it
+ * alone.
+ */
 template <typename T>
 class Fifo
 {
   public:
     explicit Fifo(int capacity) : cap(capacity) {}
 
-    bool canEnq() const { return static_cast<int>(q.size()) < cap; }
+    bool
+    canEnq() const
+    {
+        return static_cast<int>(q.size()) + reserved < cap;
+    }
     bool canDeq() const { return !q.empty(); }
     bool notEmpty() const { return !q.empty(); }
     bool notFull() const { return canEnq(); }
@@ -98,12 +110,16 @@ class Fifo
 
     void clear() { q.clear(); }
 
+    /** Hold @p slots for entries that live outside this fifo. */
+    void reserve(int slots) { reserved = slots; }
+
     std::deque<T> shadow() const { return q; }
     void rollback(const std::deque<T> &shadow) { q = shadow; }
 
   private:
     std::deque<T> q;
     int cap;
+    int reserved = 0;
 };
 
 /** An addressable memory. */

@@ -227,6 +227,8 @@ CompiledArtifact::resolveAbi()
     fnPop_ =
         reinterpret_cast<int (*)(void *, int, std::uint32_t *, int)>(
             resolve("bcl_gen_prim_pop"));
+    fnSize_ = reinterpret_cast<int (*)(void *, int, int)>(
+        resolve("bcl_gen_prim_size"));
     fnDevPop_ =
         reinterpret_cast<int (*)(void *, int, std::uint32_t *, int)>(
             resolve("bcl_gen_dev_pop"));
@@ -412,6 +414,17 @@ CompiledPartition::popPrim(int prim_id, Value &out)
     bool ok = false;
     out = popValue(prim_id, p.type, false, ok);
     return ok;
+}
+
+int
+CompiledPartition::primSize(int prim_id, int reserve)
+{
+    checkThread("primSize");
+    int n = artifact_->fnSize_(inst_, prim_id, reserve);
+    if (n < 0)
+        panic("gencc: prim_size(" + std::to_string(prim_id) +
+              ") rejected (id unknown)");
+    return n;
 }
 
 bool

@@ -41,10 +41,10 @@
  *
  * Thread confinement: a generated *instance* is single-threaded
  * state; every mutating ABI call (runToQuiescence / pushPrim /
- * popPrim / popDevice / callActionMethod) must come from one thread
- * at a time. The partition *enforces* this per instance — the first
- * mutating call binds the owning thread and a call from any other
- * thread panics — so a serving pool that accidentally shared an
+ * popPrim / primSize / popDevice / callActionMethod) must come from
+ * one thread at a time. The partition *enforces* this per instance —
+ * the first mutating call binds the owning thread and a call from any
+ * other thread panics — so a serving pool that accidentally shared an
  * instance across workers fails loudly instead of corrupting the
  * shadow state. Two instances of the same artifact are independent
  * and may be driven from two threads concurrently. Ownership of one
@@ -186,6 +186,9 @@ class CompiledArtifact
     std::uint64_t (*fnStat_)(void *, int) = nullptr;
     int (*fnPush_)(void *, int, const std::uint32_t *, int) = nullptr;
     int (*fnPop_)(void *, int, std::uint32_t *, int) = nullptr;
+    // FIFO occupancy; sets the reserved-slot count first when the
+    // last argument is >= 0 (ABI v3).
+    int (*fnSize_)(void *, int, int) = nullptr;
     int (*fnDevPop_)(void *, int, std::uint32_t *, int) = nullptr;
     int (*fnCall_)(void *, int, const std::uint32_t *, int) = nullptr;
     int (*fnWords_)(int) = nullptr;
@@ -252,6 +255,13 @@ class CompiledPartition
     /** Drain one output of device primitive @p prim_id (AudioDev).
      *  @return false when no undrained output remains. */
     bool popDevice(int prim_id, Value &out);
+
+    /**
+     * Occupancy of FIFO-kind primitive @p prim_id. When @p reserve
+     * is >= 0, first set the FIFO's reserved-slot count: its canEnq
+     * then means size + reserve < capacity (gen::Fifo).
+     */
+    int primSize(int prim_id, int reserve = -1);
 
     /**
      * Invoke root-interface action method @p meth_id transactionally

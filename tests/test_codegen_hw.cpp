@@ -18,6 +18,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -267,6 +268,113 @@ TEST(CodegenHw, EchoHwPartitionMatchesClockSimCycleExactly)
     EXPECT_EQ(chw.stats().busyCycles, sim.stats().busyCycles);
     EXPECT_EQ(chw.stats().rulesFired, sim.stats().rulesFired);
     EXPECT_EQ(chw.stats().perRuleFires, sim.stats().perRuleFires);
+}
+
+/** What one side of the mirror-exchange differential observed. */
+struct MirrorTrace
+{
+    std::vector<int> fires;       ///< per cycle
+    std::vector<size_t> rxSizes;  ///< mirror SyncRx, after the drain
+    std::vector<size_t> txSizes;  ///< mirror SyncTx, after the drain
+    std::vector<Value> out;       ///< drained SyncTx messages
+    HwStats stats;
+};
+
+/**
+ * Clock @p exec for @p cycles against @p mirror the way CoSim paces
+ * an in-thread domain (exchangeIn -> one cycle -> exchangeOut), with
+ * a scripted channel around it: bursts of four arrivals every three
+ * cycles (held back while the SyncRx mirror holds @p rx_limit), and
+ * a SyncTx drain that alternates between none (the fifo fills up and
+ * backpressures the rule), one message per cycle and everything.
+ */
+MirrorTrace
+driveMirror(ClockedPartition &exec, Store &mirror, int rx, int tx,
+            int cycles, int rx_limit)
+{
+    const int kInputs = 40;
+    MirrorTrace t;
+    int sent = 0;
+    int pending = 0;
+    for (int c = 0; c < cycles; c++) {
+        if (c % 3 == 0 && sent + pending < kInputs)
+            pending += std::min(4, kInputs - sent - pending);
+        ValueQueue &rxq = mirror.at(rx).queue;
+        while (pending > 0 && static_cast<int>(rxq.size()) < rx_limit) {
+            rxq.push_back(Value::makeInt(32, sent * 7 - 90));
+            sent++;
+            pending--;
+        }
+        exec.exchangeIn(mirror);
+        t.fires.push_back(exec.cycle());
+        exec.exchangeOut(mirror);
+
+        ValueQueue &txq = mirror.at(tx).queue;
+        size_t drain = 0;
+        switch ((c / 8) % 3) {
+          case 0: drain = 0; break;
+          case 1: drain = std::min<size_t>(1, txq.size()); break;
+          default: drain = txq.size(); break;
+        }
+        for (size_t k = 0; k < drain; k++) {
+            t.out.push_back(txq.front());
+            txq.pop_front();
+        }
+        t.rxSizes.push_back(mirror.at(rx).queue.size());
+        t.txSizes.push_back(txq.size());
+    }
+    t.stats = *exec.hwStats();
+    return t;
+}
+
+TEST(CodegenHw, MirrorExchangeMatchesClockSimUnderBackpressure)
+{
+    REQUIRE_HOST_COMPILER();
+    PartitionResult parts = echoParts();
+    const ElabProgram &hw = parts.part("HW").prog;
+    int rx = hw.primByPath("toHw");
+    int tx = hw.primByPath("fromHw");
+    const int kCycles = 120;
+
+    // Credits bound the mirror by the fifo capacity (4) in-thread; a
+    // remote child's mirror is not credit-bounded and may hold more
+    // than the instance can take.
+    for (int rx_limit : {4, 12}) {
+        SCOPED_TRACE("SyncRx mirror limit " + std::to_string(rx_limit));
+        // ClockSim's guards read the store itself: the reference.
+        Store store(hw);
+        ClockSim sim(hw, store);
+        MirrorTrace ref =
+            driveMirror(sim, store, rx, tx, kCycles, rx_limit);
+
+        // The compiled instance sees the mirror only through the two
+        // exchanges.
+        Store mirror(hw);
+        CompiledHwPartition chw(hw);
+        MirrorTrace got =
+            driveMirror(chw, mirror, rx, tx, kCycles, rx_limit);
+
+        // The script really exercised the contract: bursts filled the
+        // SyncRx mirror, and the SyncTx filled and stalled the rule.
+        EXPECT_EQ(
+            *std::max_element(ref.rxSizes.begin(), ref.rxSizes.end()),
+            static_cast<size_t>(rx_limit));
+        EXPECT_EQ(
+            *std::max_element(ref.txSizes.begin(), ref.txSizes.end()),
+            4u);
+        EXPECT_EQ(ref.out.size(), 40u);
+
+        EXPECT_EQ(got.fires, ref.fires);
+        EXPECT_EQ(got.rxSizes, ref.rxSizes);
+        EXPECT_EQ(got.txSizes, ref.txSizes);
+        ASSERT_EQ(got.out.size(), ref.out.size());
+        for (size_t i = 0; i < ref.out.size(); i++)
+            EXPECT_EQ(got.out[i], ref.out[i]) << "message " << i;
+        EXPECT_EQ(got.stats.cycles, ref.stats.cycles);
+        EXPECT_EQ(got.stats.busyCycles, ref.stats.busyCycles);
+        EXPECT_EQ(got.stats.rulesFired, ref.stats.rulesFired);
+        EXPECT_EQ(got.stats.perRuleFires, ref.stats.perRuleFires);
+    }
 }
 
 /** The shipped counter.bcl, partitioned. */

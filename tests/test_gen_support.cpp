@@ -113,6 +113,45 @@ TEST(GenSupportProperty, FifoShadowCommitRollbackAndGuards)
     }
 }
 
+TEST(GenSupportProperty, FifoReservedSlotsCountTowardCapacity)
+{
+    const int cap = 4;
+    gen::Fifo<std::int32_t> fifo{cap};
+    fifo.reserve(2);
+    fifo.enq(1);
+    EXPECT_TRUE(fifo.canEnq());
+    fifo.enq(2);
+
+    // size + reserved == cap: full, though the queue holds only two.
+    EXPECT_EQ(fifo.size(), 2u);
+    EXPECT_FALSE(fifo.canEnq());
+    EXPECT_FALSE(fifo.notFull());
+    EXPECT_THROW(fifo.enq(3), gen::GuardFail);
+    EXPECT_EQ(fifo.size(), 2u);
+
+    // Host-set state: a transaction's rollback restores the entries
+    // and keeps the reservation set after its shadow was taken.
+    auto shadow = fifo.shadow();
+    fifo.deq();
+    fifo.reserve(1);
+    fifo.rollback(shadow);
+    EXPECT_EQ(fifo.size(), 2u);
+    EXPECT_EQ(fifo.first(), 1);
+    EXPECT_TRUE(fifo.canEnq());  // 2 + 1 < 4
+    shadow = fifo.shadow();
+    fifo.enq(3);
+    EXPECT_FALSE(fifo.canEnq());  // 3 + 1 == 4
+    fifo.reserve(0);
+    fifo.rollback(shadow);
+    EXPECT_EQ(fifo.size(), 2u);
+
+    // Released slots go back to the rules.
+    fifo.enq(3);
+    fifo.enq(4);
+    EXPECT_EQ(fifo.size(), 4u);
+    EXPECT_FALSE(fifo.canEnq());
+}
+
 TEST(GenSupportProperty, BramShadowCommitRollback)
 {
     Rng rng(0xB4A8u);

@@ -417,7 +417,7 @@ TEST(RemoteFault, DeadRemoteSessionFailsAloneWhilePoolDrains)
     cfg.defaultTransport = TransportKind::SharedMem;
     cfg.transportTimeoutMs = 60000;
 
-    SessionManager mgr({2, {}});
+    SessionManager mgr({2, {}, {}});
     std::vector<std::shared_ptr<Session>> sessions;
     for (int i = 0; i < 4; i++) {
         sessions.push_back(mgr.startSession(

@@ -176,7 +176,7 @@ TEST_P(ServingDeterminism, ConcurrentStreamsMatchSoloSerialRuns)
 
     for (int n : {1, 8, 64}) {
         for (int workers : poolWidths()) {
-            SessionManager mgr({workers, {}});
+            SessionManager mgr({workers, {}, {}});
             std::vector<std::shared_ptr<Session>> sessions;
             for (int i = 0; i < n; i++) {
                 sessions.push_back(mgr.startSession(
@@ -220,9 +220,10 @@ TEST_P(ServingDeterminism, ConcurrentStreamsMatchSoloSerialRuns)
         }
     }
 
-    if (GetParam() == SwBackend::Compiled)
+    if (GetParam() == SwBackend::Compiled) {
         EXPECT_EQ(sharedCache().stats().compiles, 1u)
             << "the whole matrix must share one compile";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -245,7 +246,7 @@ TEST(ServingPool, PoisonedSessionDoesNotWedgeThePool)
     PartitionResult parts = servedParts();
     CosimConfig cfg;  // interpreted: no compiler needed
 
-    SessionManager mgr({2, {}});
+    SessionManager mgr({2, {}, {}});
     std::vector<std::shared_ptr<Session>> sessions;
     for (int i = 0; i < 4; i++) {
         StreamSpec spec = servedStream(
@@ -333,7 +334,7 @@ TEST(ServingSoak, SeededCreateDestroyChurn)
         if (use_compiled)
             cfg.swArtifact = artifact;
 
-        SessionManager mgr({workers, {}});
+        SessionManager mgr({workers, {}, {}});
         std::vector<std::shared_ptr<Session>> sessions;
         std::vector<std::uint64_t> seeds;
         for (int i = 0; i < n; i++) {
