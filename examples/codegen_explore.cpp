@@ -94,18 +94,27 @@ main(int argc, char **argv)
     {
         CppGenMode mode;
         const char *label;
-        const char *file;
+        const char *stem;  ///< output file name without ".cpp"
     };
     const std::vector<ModeSpec> modes = {
-        {CppGenMode::Naive, "naive", "sw_partition_naive.cpp"},
-        {CppGenMode::Inlined, "inlined", "sw_partition_inlined.cpp"},
-        {CppGenMode::Lifted, "lifted", "sw_partition_lifted.cpp"},
+        {CppGenMode::Naive, "naive", "sw_partition_naive"},
+        {CppGenMode::Inlined, "inlined", "sw_partition_inlined"},
+        {CppGenMode::Lifted, "lifted", "sw_partition_lifted"},
     };
     std::vector<StrategyShape> shapes;
     for (const auto &m : modes) {
-        std::string code = generateCpp(parts.part("SW").prog,
-                                       "VorbisSw", m.mode);
-        emit(m.file, code);
+        // A partition over the unit size target comes as several
+        // units; each is written as <file stem>.<unit>.cpp.
+        std::vector<CppUnit> units =
+            generateCpp(parts.part("SW").prog, "VorbisSw", m.mode);
+        std::string code;
+        for (const CppUnit &u : units) {
+            emit(units.size() == 1
+                     ? std::string(m.stem) + ".cpp"
+                     : std::string(m.stem) + "." + u.name + ".cpp",
+                 u.text);
+            code += u.text;
+        }
         shapes.push_back(analyze(m.label, code));
     }
 

@@ -177,7 +177,9 @@ main()
 
     // Bonus: show a snippet of the generated software partition.
     std::string cpp = generateCpp(sw.prog, "GcdSw",
-                                  CppGenMode::Lifted);
+                                  CppGenMode::Lifted)
+                          .front()
+                          .text;
     std::printf("\ngenerated SW partition (first lines):\n%.600s...\n",
                 cpp.c_str());
     return 0;

@@ -1,5 +1,6 @@
 #include "core/codegen_cpp.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <functional>
 #include <map>
@@ -137,8 +138,98 @@ class CppGen
     {
     }
 
-    std::string
+    std::vector<CppUnit>
     run()
+    {
+        collectTypes();
+        // Rule and method bodies are emitted out of line, each on its
+        // own, so they can be bin-packed into units by size.
+        std::vector<std::string> bodies;
+        for (size_t i = 0; i < prog.rules.size(); i++)
+            bodies.push_back(
+                piece([&] { emitRule(static_cast<int>(i)); }));
+        for (int mid : rootActionMethods())
+            bodies.push_back(piece([&] { emitMethod(mid); }));
+        const std::string abi = piece([&] { emitAbi(); });
+
+        // One unit: the members are declared inline, so the
+        // optimizer may fold rules into the schedulers exactly as it
+        // did when they were defined inside the class.
+        std::string one = piece([&] { emitHeader(true); });
+        for (const std::string &b : bodies)
+            one += b;
+        one += abi;
+        if (one.size() < kCppUnitTargetBytes)
+            return {{"partition", std::move(one)}};
+
+        const std::string header = piece([&] { emitHeader(false); });
+        std::vector<CppUnit> units{{"abi", header + abi}};
+        for (const std::vector<size_t> &bin : packBodies(bodies)) {
+            std::string text = header;
+            for (size_t i : bin)
+                text += bodies[i];
+            units.push_back({"rules_" + std::to_string(units.size() - 1),
+                             std::move(text)});
+        }
+        return units;
+    }
+
+  private:
+    /** Text emitted by @p emit into a fresh writer. */
+    std::string
+    piece(const std::function<void()> &emit)
+    {
+        w = IndentWriter();
+        emit();
+        return w.str();
+    }
+
+    /**
+     * Longest-first bin packing of @p bodies into
+     * min(ceil(total / kCppUnitTargetBytes), kCppMaxRuleUnits) bins:
+     * each body goes to the lightest bin so far (lowest index on
+     * ties). Bins list body indices in program order; there are never
+     * more bins than bodies, so none is empty.
+     */
+    static std::vector<std::vector<size_t>>
+    packBodies(const std::vector<std::string> &bodies)
+    {
+        size_t total = 0;
+        for (const std::string &b : bodies)
+            total += b.size();
+        const size_t nbins = std::min(
+            {bodies.size(), kCppMaxRuleUnits,
+             (total + kCppUnitTargetBytes - 1) / kCppUnitTargetBytes});
+        std::vector<size_t> order(bodies.size());
+        for (size_t i = 0; i < order.size(); i++)
+            order[i] = i;
+        std::stable_sort(order.begin(), order.end(),
+                         [&](size_t a, size_t b) {
+                             return bodies[a].size() > bodies[b].size();
+                         });
+        std::vector<std::vector<size_t>> bins(nbins);
+        std::vector<size_t> load(nbins, 0);
+        for (size_t i : order) {
+            size_t to = static_cast<size_t>(
+                std::min_element(load.begin(), load.end()) -
+                load.begin());
+            bins[to].push_back(i);
+            load[to] += bodies[i].size();
+        }
+        for (auto &bin : bins)
+            std::sort(bin.begin(), bin.end());
+        return bins;
+    }
+
+    /**
+     * The shared header every unit opens with: includes, helpers,
+     * structs and the class (state, member declarations, schedulers,
+     * counters). @p inline_members declares the rule and method
+     * members inline (single-unit form only: an inline member must be
+     * defined in every unit that calls it).
+     */
+    void
+    emitHeader(bool inline_members)
     {
         w.writeLine("// Generated by the BCL compiler (partition). "
                     "Do not edit.");
@@ -147,7 +238,11 @@ class CppGen
         w.writeLine("#include \"runtime/gen_support.hpp\"");
         w.blank();
         emitHelpers();
-        collectTypes();
+        // Hidden: the structs and the class never cross the shared
+        // object's boundary (the extern "C" glue does), so calls
+        // between units bind directly instead of through the PLT, and
+        // the optimizer may inline a member within its unit.
+        w.writeLine("#pragma GCC visibility push(hidden)");
         emitTypes();
         w.blank();
         w.openBlock("class " + className + " {");
@@ -155,9 +250,13 @@ class CppGen
         w.indent();
         emitState();
         w.blank();
-        for (size_t i = 0; i < prog.rules.size(); i++)
-            emitRule(static_cast<int>(i));
-        emitMethods();
+        const std::string decl = inline_members ? "inline bool " : "bool ";
+        for (const auto &r : prog.rules)
+            w.writeLine(decl + "rule_" + ident(r.name) + "();");
+        for (int mid : rootActionMethods())
+            w.writeLine(decl + "method_" + std::to_string(mid) + "(" +
+                        methodParams(prog.methods[mid]) + ");");
+        w.blank();
         emitScheduler();
         emitHwScheduler();
         w.blank();
@@ -177,11 +276,10 @@ class CppGen
         }
         w.outdent();
         w.closeBlock("};");
-        emitAbi();
-        return w.str();
+        w.writeLine("#pragma GCC visibility pop");
+        w.blank();
     }
 
-  private:
     const char *
     strategyName() const
     {
@@ -787,7 +885,8 @@ class CppGen
         w.writeLine("// rule " + orig.name +
                     (in_situ ? " (guard fully lifted: no shadows)"
                              : ""));
-        w.openBlock("bool rule_" + ident(orig.name) + "() {");
+        w.openBlock("bool " + className + "::rule_" + ident(orig.name) +
+                    "() {");
         tenv.clear();
         resetNames({});
 
@@ -882,36 +981,42 @@ class CppGen
         return out;
     }
 
+    /** Parameter list of root-interface method @p m. */
+    std::string
+    methodParams(const ElabMethod &m)
+    {
+        std::vector<std::string> params;
+        for (const auto &p : m.params)
+            params.push_back("const " + cppType(p.type) + " &" +
+                             ident(p.name));
+        return join(params, ", ");
+    }
+
     /**
-     * Emit root-interface action methods as transactional member
-     * functions (the "software up the stack" entry points a host
-     * driver calls through the C ABI). Methods always keep the
+     * Emit root-interface action method @p mid as a transactional
+     * member function (the "software up the stack" entry points a
+     * host driver calls through the C ABI). Methods always keep the
      * shadow/rollback discipline — they are called per input frame,
      * far off the rule hot path, so lifting buys nothing.
      */
     void
-    emitMethods()
+    emitMethod(int mid)
     {
-        for (int mid : rootActionMethods()) {
-            const ElabMethod &m = prog.methods[mid];
-            ActPtr body = inlineActionMethods(prog, m.body);
-            body = sequentializeAction(prog, body);
+        const ElabMethod &m = prog.methods[mid];
+        ActPtr body = inlineActionMethods(prog, m.body);
+        body = sequentializeAction(prog, body);
 
-            std::vector<std::string> params;
-            for (const auto &p : m.params)
-                params.push_back("const " + cppType(p.type) + " &" +
-                                 ident(p.name));
-            w.writeLine("// method " + m.name + " (root interface)");
-            w.openBlock("bool method_" + std::to_string(mid) + "(" +
-                        join(params, ", ") + ") {");
-            tenv = m.params;
-            resetNames(m.params);
-            RWSets rw = actionRW(prog, body);
-            emitTransaction(body, rw.writes);
-            tenv.clear();
-            w.closeBlock("}");
-            w.blank();
-        }
+        w.writeLine("// method " + m.name + " (root interface)");
+        w.openBlock("bool " + className + "::method_" +
+                    std::to_string(mid) + "(" + methodParams(m) +
+                    ") {");
+        tenv = m.params;
+        resetNames(m.params);
+        RWSets rw = actionRW(prog, body);
+        emitTransaction(body, rw.writes);
+        tenv.clear();
+        w.closeBlock("}");
+        w.blank();
     }
 
     void
@@ -1352,7 +1457,7 @@ class CppGen
 
 } // namespace
 
-std::string
+std::vector<CppUnit>
 generateCpp(const ElabProgram &prog, const std::string &class_name,
             CppGenMode mode)
 {

@@ -13,8 +13,10 @@
  *              test the guard once and then execute in place with no
  *              shadows at all.
  *
- * The generated source compiles against runtime/gen_support.hpp;
- * tests syntax-check it with the host compiler.
+ * The generated source compiles against runtime/gen_support.hpp and
+ * comes as a list of translation units (see generateCpp): one for a
+ * small partition, several for a large one, so the host compiler can
+ * build them concurrently and link one shared object.
  *
  * Contract: @p prog must be a single-domain program — typically one
  * part of a PartitionResult, where cross-domain Syncs have already
@@ -25,7 +27,9 @@
 #ifndef BCL_CORE_CODEGEN_CPP_HPP
 #define BCL_CORE_CODEGEN_CPP_HPP
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "core/elaborate.hpp"
 
@@ -34,18 +38,58 @@ namespace bcl {
 /** Generation strategy (see file comment). */
 enum class CppGenMode : std::uint8_t { Naive, Inlined, Lifted };
 
+/** One generated C++ translation unit: a stable name and its text. */
+struct CppUnit
+{
+    std::string name;  ///< "partition", "abi" or "rules_<i>"
+    std::string text;
+};
+
 /**
- * Generate a self-contained C++ translation unit for @p prog (a
- * software partition). @p class_name names the emitted class.
+ * Emitted size, in bytes, under which a partition stays one unit, and
+ * the rule-and-method body bytes per rule unit above it.
+ */
+constexpr std::size_t kCppUnitTargetBytes = 32 * 1024;
+
+/**
+ * Most rule units a partition is split into. Every unit repeats the
+ * shared header (about 0.35 s of -O2 compile), and the ABI unit bounds
+ * the build anyway, so more rule units add work without shortening
+ * it. Both constants come from -O2 compile times of the generated
+ * Vorbis partitions (docs/ARCHITECTURE.md, "The harness").
+ */
+constexpr std::size_t kCppMaxRuleUnits = 3;
+
+/**
+ * Generate the C++ translation units for @p prog (a software
+ * partition). @p class_name names the emitted class. The list depends
+ * only on the program, strategy and class name (never on the host):
+ * the same inputs give the same bytes.
  *
- * Besides the partition class itself, the unit carries a fixed
- * `extern "C"` ABI (`bcl_gen_*`) that lets a host harness drive the
- * compiled partition through marshaled 32-bit words without sharing
- * any C++ types with it: create/destroy, run_to_quiescence,
- * push/pop/size on FIFO-kind primitives (the synchronizer halves of
- * a partition), device-output drain, and transactional
- * root-interface action-method calls. runtime/gencc.hpp is the
- * in-tree consumer.
+ * Every unit opens with the same shared header text — includes, the
+ * `genops` helpers, the structs and the class with its state, its
+ * rule/method member declarations and the schedulers — and so
+ * compiles on its own. The structs and the class are declared with
+ * hidden visibility (only the ABI below is exported), and the rule
+ * and method bodies are defined out of line (`bool Class::rule_x()`).
+ *
+ *   - Under kCppUnitTargetBytes the result is ONE unit, "partition":
+ *     header, every body and the ABI glue, with the members declared
+ *     inline so the schedulers may inline them as before.
+ *   - Otherwise the result is an "abi" unit (header + the extern "C"
+ *     glue below) followed by "rules_0".."rules_<k-1>": the bodies
+ *     bin-packed longest-first into k = min(ceil(body bytes /
+ *     kCppUnitTargetBytes), kCppMaxRuleUnits) units of similar size,
+ *     each keeping program order.
+ *
+ * The units together carry a fixed `extern "C"` ABI (`bcl_gen_*`)
+ * that lets a host harness drive the compiled partition through
+ * marshaled 32-bit words without sharing any C++ types with it:
+ * create/destroy, run_to_quiescence, push/pop/size on FIFO-kind
+ * primitives (the synchronizer halves of a partition), device-output
+ * drain, and transactional root-interface action-method calls.
+ * runtime/gencc.hpp is the in-tree consumer: it compiles the units
+ * concurrently and links them into one shared object.
  *
  * Partitions that pass the synchronous-hardware validation
  * additionally get a clock-edge scheduler (`hw_cycle`): one function
@@ -57,9 +101,9 @@ enum class CppGenMode : std::uint8_t { Naive, Inlined, Lifted };
  * artifact serves both software and hardware consumers of the same
  * program. hwsim/compiled_hw.hpp is the in-tree consumer.
  */
-std::string generateCpp(const ElabProgram &prog,
-                        const std::string &class_name,
-                        CppGenMode mode = CppGenMode::Lifted);
+std::vector<CppUnit> generateCpp(const ElabProgram &prog,
+                                 const std::string &class_name,
+                                 CppGenMode mode = CppGenMode::Lifted);
 
 /** ABI revision emitted as bcl_gen_abi_version() (bumped whenever the
  *  generated symbol contract changes incompatibly).

@@ -3,7 +3,7 @@
  * Compiled hardware backend: the clock-edge counterpart of
  * runtime/gencc.hpp's CompiledPartition. A hardware partition is
  * generated by generateCpp() exactly like a software one — same
- * translation unit, same artifact, same CompileCache key — but driven
+ * units, same artifact, same CompileCache key — but driven
  * through the `bcl_gen_hw_cycle` entry point, which clocks one edge
  * of the baked BSV schedule (CAN_FIRE = transactional rule bodies,
  * WILL_FIRE = constant conflict bitmasks from the static

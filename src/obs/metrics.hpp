@@ -22,7 +22,8 @@
  *   cosim.channel.<chan>.stall_events    counter
  *   cosim.channel.occupancy              histogram (rx queue depth)
  *   gencc.compiles                       counter
- *   gencc.compile_ms                     histogram
+ *   gencc.units                          counter (units compiled)
+ *   gencc.compile_ms                     histogram (artifact wall)
  *   serve.session.frame_ms               histogram (ready-to-done)
  *   serve.pool.workers                   gauge
  *   serve.pool.quanta                    counter

@@ -115,7 +115,7 @@ struct CosimConfig
 
     /** Code-generation strategy when swBackend == Compiled (also
      *  used for hardware domains when hwBackend == Compiled: the
-     *  generated translation unit is the same either way, so one
+     *  generated units are the same either way, so one
      *  CompileCache entry serves both uses of a program). */
     CppGenMode swGenMode = CppGenMode::Lifted;
 

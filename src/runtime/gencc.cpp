@@ -1,13 +1,19 @@
 #include "runtime/gencc.hpp"
 
 #include <dlfcn.h>
+#include <poll.h>
+#include <spawn.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-
-#include <chrono>
+#include <iterator>
 
 #include "common/logging.hpp"
 #include "core/typecheck.hpp"
@@ -79,6 +85,109 @@ readAll(const std::string &path, size_t limit = 4000)
     return all.substr(0, limit);
 }
 
+/** One host-compiler child: the unit it builds, its shell command
+ *  and where its diagnostics go. */
+struct CompileJob
+{
+    std::string unit;
+    std::string cmd;
+    std::string log;
+    pid_t pid = -1;
+    int pidfd = -1;    ///< readable once the child exits (-1: none)
+    int spawnErr = 0;  ///< posix_spawn's error when it could not start
+};
+
+/** Wait for OUR child @p job only — a forked shm partition child of
+ *  the same process must never be reaped here. True on exit 0. */
+bool
+reap(CompileJob &job)
+{
+    int status = 0;
+    pid_t rc = -1;
+    do {
+        rc = ::waitpid(job.pid, &status, 0);
+    } while (rc < 0 && errno == EINTR);
+    if (job.pidfd >= 0)
+        ::close(job.pidfd);
+    job.pidfd = -1;
+    return rc == job.pid && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+/**
+ * Position in @p running of a child that has exited, blocking until
+ * one has: poll(2) on the children's pidfds, so whichever unit
+ * finishes first frees its slot. A child without a pidfd (kernel
+ * without pidfd_open) is returned at once and waited for in turn.
+ */
+size_t
+nextExited(const std::vector<CompileJob> &jobs,
+           const std::vector<size_t> &running)
+{
+    std::vector<pollfd> fds;
+    for (size_t i : running) {
+        if (jobs[i].pidfd < 0)
+            return fds.size();
+        fds.push_back({jobs[i].pidfd, POLLIN, 0});
+    }
+    while (::poll(fds.data(), fds.size(), -1) < 0 && errno == EINTR) {
+    }
+    for (size_t k = 0; k < fds.size(); k++) {
+        if (fds[k].revents != 0)
+            return k;
+    }
+    return 0;  // poll failed outright: wait for the oldest
+}
+
+/**
+ * Run @p jobs as `/bin/sh -c` children, in list order, at most
+ * @p limit at a time, from the calling thread (no helper threads).
+ * When the limit is reached, the next child starts as soon as any
+ * running one exits. After the first failure no further child
+ * starts, and every started one is still reaped before returning.
+ * @return index of the first job that failed, or jobs.size().
+ */
+size_t
+runJobs(std::vector<CompileJob> &jobs, size_t limit)
+{
+    size_t failed = jobs.size();
+    std::vector<size_t> running;
+    for (size_t next = 0; next < jobs.size() || !running.empty();) {
+        if (next < jobs.size() && failed == jobs.size() &&
+            running.size() < limit) {
+            CompileJob &job = jobs[next];
+            const char *argv[] = {"/bin/sh", "-c", job.cmd.c_str(),
+                                  nullptr};
+            job.spawnErr = ::posix_spawn(
+                &job.pid, "/bin/sh", nullptr, nullptr,
+                const_cast<char *const *>(argv), environ);
+            if (job.spawnErr != 0) {
+                failed = next;
+            } else {
+                // Unreaped, the child's pid cannot be reused, so the
+                // pidfd is race-free. (A raw syscall: not every libc
+                // declares pidfd_open usably from C++.)
+#ifdef SYS_pidfd_open
+                job.pidfd = static_cast<int>(
+                    ::syscall(SYS_pidfd_open, job.pid, 0));
+#endif
+                running.push_back(next);
+            }
+            next++;
+            continue;
+        }
+        if (running.empty())
+            break;  // a failure stopped the remaining starts
+        const auto at = running.begin() +
+                        static_cast<std::ptrdiff_t>(
+                            nextExited(jobs, running));
+        const size_t i = *at;
+        running.erase(at);
+        if (!reap(jobs[i]) && failed == jobs.size())
+            failed = i;
+    }
+    return failed;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -96,9 +205,22 @@ CompiledArtifact::hostCompilerAvailable()
     return available;
 }
 
+std::vector<CppUnit>
+CompiledArtifact::generate(const ElabProgram &prog, CppGenMode mode)
+{
+    return generateCpp(prog, "BclGenPartition", mode);
+}
+
 CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
                                    GenccOptions opts)
-    : prog_(prog), opts_(std::move(opts))
+    : CompiledArtifact(prog, std::move(opts), {})
+{
+}
+
+CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
+                                   GenccOptions opts,
+                                   std::vector<CppUnit> units)
+    : prog_(prog), opts_(std::move(opts)), units_(std::move(units))
 {
     const bool reuse = !opts_.reuseSoPath.empty();
     if (!reuse && !hostCompilerAvailable())
@@ -108,6 +230,7 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
     if (reuse) {
         // Adopt an existing shared object (CompileCache disk hit).
         // No files are emitted, so destruction removes nothing.
+        units_.clear();
         dir_ = std::filesystem::path(opts_.reuseSoPath)
                    .parent_path()
                    .string();
@@ -131,7 +254,8 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
         };
         rejectMeta("include directory", inc);
 
-        source_ = generateCpp(prog_, "BclGenPartition", opts_.mode);
+        if (units_.empty())
+            units_ = generate(prog_, opts_.mode);
         ownDir_ = opts_.workDir.empty();
         dir_ = ownDir_ ? makeWorkDir() : opts_.workDir;
         rejectMeta("scratch directory", dir_);  // covers $TMPDIR too
@@ -140,50 +264,132 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
         const std::string stem =
             dir_ + "/" +
             (opts_.fileStem.empty() ? uniqueStem() : opts_.fileStem);
-        std::string cpp = stem + ".cpp";
-        std::string so = stem + ".so";
-        std::string log = stem + ".log";
-        files_ = {cpp, so, log};
-        {
-            std::ofstream out(cpp);
-            out << source_;
-            if (!out)
-                fatal("gencc: cannot write " + cpp);
+        files_ = {stem + ".so", stem + ".log"};
+        try {
+            compile(stem, inc);
+        } catch (...) {
+            // A failed artifact has no destructor to clean up after
+            // it; the error already carries the log and command.
+            std::error_code ec;
+            if (ownDir_)
+                std::filesystem::remove_all(dir_, ec);
+            for (const std::string &f : files_)
+                std::filesystem::remove(f, ec);
+            throw;
         }
-
-        // -O2: the whole point is native-speed execution; the §6.3
-        // strategies differ in what they make the optimizer's job
-        // easy on. Paths are quoted — source trees and TMPDIRs with
-        // spaces must not split the shell command.
-        std::string cmd =
-            compilerCommand() + " -std=c++20 -O2 -fPIC -shared -I\"" +
-            inc + "\" " +
-            (opts_.extraFlags.empty() ? "" : opts_.extraFlags + " ") +
-            "\"" + cpp + "\" -o \"" + so + "\" 2> \"" + log + "\"";
-        {
-            // Host-compiler invocations dominate cold-start serving
-            // latency; the span + histogram make them visible next to
-            // the cache hits they should be.
-            obs::TraceSpan span(
-                "gencc.compile", "gencc", "source_bytes",
-                static_cast<std::int64_t>(source_.size()));
-            auto t0 = std::chrono::steady_clock::now();
-            if (std::system(cmd.c_str()) != 0) {
-                fatal("gencc: generated partition failed to "
-                      "compile:\n" +
-                      readAll(log) + "\n(command: " + cmd + ")");
-            }
-            obs::metrics().counter("gencc.compiles").add(1);
-            obs::metrics()
-                .histogram("gencc.compile_ms",
-                           obs::Histogram::exponentialBounds(1.0, 2.0,
-                                                             16))
-                .observe(std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count());
-        }
-        load(so);
+        load(stem + ".so");
     }
+}
+
+void
+CompiledArtifact::compile(const std::string &stem,
+                          const std::string &inc)
+{
+    // -O2: the whole point is native-speed execution; the §6.3
+    // strategies differ in what they make the optimizer's job easy
+    // on. Paths are quoted — source trees and TMPDIRs with spaces must
+    // not split the shell command.
+    const std::string cxx = compilerCommand();
+    const std::string extra =
+        opts_.extraFlags.empty() ? "" : opts_.extraFlags + " ";
+    const std::string so = stem + ".so";
+    const bool single = units_.size() == 1;
+
+    // Per-unit sources, objects and logs are scratch: removed once
+    // the shared object is linked (or the build failed), whatever
+    // keepArtifacts says — only the .so and one log outlive this.
+    struct Scratch
+    {
+        std::vector<std::string> paths;
+        Scratch() = default;
+        Scratch(const Scratch &) = delete;
+        Scratch &operator=(const Scratch &) = delete;
+        ~Scratch()
+        {
+            std::error_code ec;
+            for (const std::string &p : paths)
+                std::filesystem::remove(p, ec);
+        }
+    } scratch;
+
+    std::vector<CompileJob> jobs;
+    std::string objects;
+    std::int64_t source_bytes = 0;
+    for (const CppUnit &u : units_) {
+        const std::string base = stem + "." + u.name;
+        const std::string cpp = base + ".cpp";
+        const std::string out = single ? so : base + ".o";
+        scratch.paths.push_back(cpp);
+        scratch.paths.push_back(base + ".log");
+        if (!single) {
+            scratch.paths.push_back(out);
+            objects += "\"" + out + "\" ";
+        }
+        std::ofstream file(cpp);
+        file << u.text;
+        if (!file)
+            fatal("gencc: cannot write " + cpp);
+        source_bytes += static_cast<std::int64_t>(u.text.size());
+        jobs.push_back({u.name,
+                        cxx + " -std=c++20 -O2 -fPIC " +
+                            (single ? "-shared " : "-c ") + "-I\"" +
+                            inc + "\" " + extra + "\"" + cpp +
+                            "\" -o \"" + out + "\" 2> \"" + base +
+                            ".log\"",
+                        base + ".log"});
+    }
+
+    // Host-compiler invocations dominate cold-start latency; the one
+    // span (on the calling thread, around every child) and the
+    // histogram make them visible next to the cache hits they should
+    // be.
+    obs::TraceSpan span("gencc.compile", "gencc", "source_bytes",
+                        source_bytes);
+    auto t0 = std::chrono::steady_clock::now();
+    // Reaps every child of @p batch, then names the first failure.
+    auto run = [](std::vector<CompileJob> &batch, size_t limit) {
+        const size_t failed = runJobs(batch, limit);
+        if (failed == batch.size())
+            return;
+        const CompileJob &job = batch[failed];
+        fatal("gencc: generated unit '" + job.unit +
+              "' failed to build:\n" +
+              (job.spawnErr ? std::string("cannot start /bin/sh: ") +
+                                  std::strerror(job.spawnErr)
+                            : readAll(job.log)) +
+              "\n(command: " + job.cmd + ")");
+    };
+    run(jobs, std::max(1u, std::thread::hardware_concurrency()));
+    if (!single) {
+        const std::string log = stem + ".link.log";
+        scratch.paths.push_back(log);
+        std::vector<CompileJob> link{
+            {"link",
+             cxx + " -shared -fPIC " + extra + objects + "-o \"" + so +
+                 "\" 2> \"" + log + "\"",
+             log}};
+        run(link, 1);
+        jobs.push_back(link[0]);
+    }
+
+    // One log for the artifact: every child's diagnostics in order.
+    std::ofstream log(stem + ".log");
+    for (const CompileJob &job : jobs) {
+        std::ifstream in(job.log);
+        std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        if (!text.empty())
+            log << "[" << job.unit << "]\n" << text;
+    }
+
+    obs::metrics().counter("gencc.compiles").add(1);
+    obs::metrics().counter("gencc.units").add(units_.size());
+    obs::metrics()
+        .histogram("gencc.compile_ms",
+                   obs::Histogram::exponentialBounds(1.0, 2.0, 16))
+        .observe(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
 }
 
 void

@@ -2,9 +2,22 @@
  * @file
  * Compiled-execution backend for software partitions (section 6 of
  * the paper made real): take a single-domain ElabProgram, run it
- * through generateCpp(), hand the translation unit to the host C++
- * compiler as a shared object, dlopen it, and drive it through the
- * generated `bcl_gen_*` C ABI.
+ * through generateCpp(), build its translation units with the host
+ * C++ compiler into one shared object, dlopen it, and drive it
+ * through the generated `bcl_gen_*` C ABI.
+ *
+ * The build: each unit is written to <stem>.<unit>.cpp in the scratch
+ * directory and compiled by its own `/bin/sh -c` child started with
+ * posix_spawn — at most hardware_concurrency at a time, the next one
+ * starting as soon as any exits (poll on pidfds), all started and
+ * reaped (waitpid on their own pids only) by the calling thread, no
+ * helper threads. A multi-unit build then links the objects with
+ * one more child; a single unit compiles straight to the .so. The
+ * children's diagnostics are gathered into <stem>.log, and every
+ * per-unit source, object and log is removed once the link is done.
+ * A failing child ends the build with one FatalError naming its unit
+ * and carrying its log and command, after every started child has
+ * been reaped and every file the build emitted removed.
  *
  * This is the missing half of the paper's claim that software
  * partitions are *compiled* — rules become member functions with
@@ -87,7 +100,8 @@ struct GenccOptions
      *  this artifact's files, never the directory. */
     std::string workDir;
 
-    /** Keep the generated .cpp/.so/compile log on destruction. */
+    /** Keep the .so and its compile log on destruction (the
+     *  per-unit sources and objects never outlive the link). */
     bool keepArtifacts = false;
 
     /**
@@ -100,7 +114,7 @@ struct GenccOptions
     std::string extraFlags;
 
     /**
-     * File stem for the emitted .cpp/.so/.log inside workDir; ""
+     * File stem for the emitted files inside workDir; ""
      * picks a unique pid+counter stem. A caller that sets this owns
      * the uniqueness guarantee (the CompileCache uses the source
      * hash and serializes compiles per key, so its stems never
@@ -131,9 +145,19 @@ class CompiledArtifact
      *  (cached after the first call). */
     static bool hostCompilerAvailable();
 
+    /** The units an artifact for @p prog compiles under @p mode. */
+    static std::vector<CppUnit> generate(const ElabProgram &prog,
+                                         CppGenMode mode);
+
     /** Generate, compile and dlopen (or reuse, see
      *  GenccOptions::reuseSoPath) the partition for @p prog. */
     CompiledArtifact(const ElabProgram &prog, GenccOptions opts = {});
+
+    /** Compile @p units — generate(prog, opts.mode) output the caller
+     *  already holds (the CompileCache hashes them for its key) —
+     *  instead of generating them again. */
+    CompiledArtifact(const ElabProgram &prog, GenccOptions opts,
+                     std::vector<CppUnit> units);
     ~CompiledArtifact();
 
     CompiledArtifact(const CompiledArtifact &) = delete;
@@ -143,11 +167,11 @@ class CompiledArtifact
      *  for the artifact's whole lifetime). */
     const ElabProgram &program() const { return prog_; }
 
-    /** The generated translation unit (for tests/diagnostics; empty
-     *  when the artifact was loaded via reuseSoPath). */
-    const std::string &source() const { return source_; }
+    /** The generated translation units (for tests/diagnostics;
+     *  empty when the artifact was loaded via reuseSoPath). */
+    const std::vector<CppUnit> &units() const { return units_; }
 
-    /** Where the .cpp/.so/compile log live. */
+    /** Where the .so and compile log live. */
     const std::string &artifactDir() const { return dir_; }
 
     /** Path of the loaded shared object. */
@@ -164,6 +188,8 @@ class CompiledArtifact
     friend class CompiledPartition;
     friend class CompiledHwPartition;
 
+    /** Compile units_ into <stem>.so (see the file comment). */
+    void compile(const std::string &stem, const std::string &inc);
     void load(const std::string &so_path);
     void resolveAbi();
 
@@ -172,11 +198,11 @@ class CompiledArtifact
     /** Device payload types, resolved once at load (deriving one is
      *  a whole-program scan — see devicePayloadType). */
     std::map<int, TypePtr> deviceTypes_;
-    std::string source_;
+    std::vector<CppUnit> units_;
     std::string dir_;
     std::string so_;
     bool ownDir_ = false;  ///< we created dir_ (vs caller-provided)
-    std::vector<std::string> files_;  ///< files we emitted into dir_
+    std::vector<std::string> files_;  ///< .so and log in dir_
     void *dl_ = nullptr;
 
     // Resolved ABI entry points (immutable after construction).
@@ -289,10 +315,13 @@ class CompiledPartition
         return artifact_->program();
     }
 
-    /** The generated translation unit (for tests/diagnostics). */
-    const std::string &source() const { return artifact_->source(); }
+    /** The generated translation units (for tests/diagnostics). */
+    const std::vector<CppUnit> &units() const
+    {
+        return artifact_->units();
+    }
 
-    /** Where the .cpp/.so/compile log live. */
+    /** Where the .so and compile log live. */
     const std::string &artifactDir() const
     {
         return artifact_->artifactDir();

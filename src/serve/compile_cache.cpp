@@ -48,21 +48,31 @@ modeName(CppGenMode m)
     return "?";
 }
 
+/** The key of @p units (generate() output) under @p opts. */
+std::string
+unitsKey(const std::vector<CppUnit> &units, const GenccOptions &opts)
+{
+    // The generated units are the ground truth the .so was built
+    // from; mode is folded in as well (it changes the units anyway,
+    // but belt and braces), and the flag/include knobs change the
+    // binary without changing the units.
+    std::uint64_t h = 1469598103934665603ull;
+    for (const CppUnit &u : units) {
+        h = fnv1a(h, u.name);
+        h = fnv1a(h, u.text);
+    }
+    h = fnv1a(h, modeName(opts.mode));
+    h = fnv1a(h, opts.extraFlags);
+    h = fnv1a(h, opts.includeDir);
+    return hex64(h);
+}
+
 } // namespace
 
 std::string
 compileCacheKey(const ElabProgram &prog, const GenccOptions &opts)
 {
-    // The generated source is the ground truth the .so was built
-    // from; mode is folded in twice (it changes the source anyway,
-    // but belt and braces), and the flag/include knobs change the
-    // binary without changing the source.
-    std::uint64_t h = 1469598103934665603ull;
-    h = fnv1a(h, generateCpp(prog, "BclGenPartition", opts.mode));
-    h = fnv1a(h, modeName(opts.mode));
-    h = fnv1a(h, opts.extraFlags);
-    h = fnv1a(h, opts.includeDir);
-    return hex64(h);
+    return unitsKey(CompiledArtifact::generate(prog, opts.mode), opts);
 }
 
 CompileCache::CompileCache(CompileCacheOptions opts)
@@ -74,7 +84,7 @@ CompileCache::CompileCache(CompileCacheOptions opts)
 
 std::shared_ptr<const CompiledArtifact>
 CompileCache::build(const ElabProgram &prog, GenccOptions opts,
-                    const std::string &key)
+                    std::vector<CppUnit> units, const std::string &key)
 {
     if (!opts_.dir.empty()) {
         // Disk layer: deterministic published name inside the cache
@@ -116,7 +126,7 @@ CompileCache::build(const ElabProgram &prog, GenccOptions opts,
 
     if (opts_.dir.empty()) {
         auto art = std::make_shared<const CompiledArtifact>(
-            prog, std::move(opts));
+            prog, std::move(opts), std::move(units));
         std::lock_guard<std::mutex> lock(mu_);
         stats_.compiles++;
         return art;
@@ -124,13 +134,15 @@ CompileCache::build(const ElabProgram &prog, GenccOptions opts,
 
     // Disk layer, compile path. The published stem must never be
     // written directly: two PROCESSES sharing one cache dir would
-    // race on <key>.cpp/.so/.log (the in-process promise map cannot
+    // race on <key>.so/.log (the in-process promise map cannot
     // arbitrate across processes), and a reader could dlopen a
     // half-written .so. Compile under a process-unique temp stem,
     // dlopen that, then publish with rename(2) — atomic within the
     // directory, so concurrent publishers are last-wins over
-    // identical content (the key IS a hash of the generated source)
-    // and readers only ever see a complete file.
+    // identical content (the key IS a hash of the generated units)
+    // and readers only ever see a complete file. The per-unit
+    // sources never outlive the link (gencc removes them), and a
+    // disk hit needs only the .so.
     static std::atomic<std::uint64_t> tmpCounter{0};
     std::string tmp_stem =
         key + ".tmp." +
@@ -138,9 +150,9 @@ CompileCache::build(const ElabProgram &prog, GenccOptions opts,
         std::to_string(
             tmpCounter.fetch_add(1, std::memory_order_relaxed));
     opts.fileStem = tmp_stem;
-    auto art =
-        std::make_shared<const CompiledArtifact>(prog, std::move(opts));
-    for (const char *ext : {".so", ".cpp", ".log"}) {
+    auto art = std::make_shared<const CompiledArtifact>(
+        prog, std::move(opts), std::move(units));
+    for (const char *ext : {".so", ".log"}) {
         std::error_code ec;
         std::filesystem::rename(opts_.dir + "/" + tmp_stem + ext,
                                 opts_.dir + "/" + key + ext, ec);
@@ -156,7 +168,10 @@ CompileCache::build(const ElabProgram &prog, GenccOptions opts,
 std::shared_ptr<const CompiledArtifact>
 CompileCache::get(const ElabProgram &prog, const GenccOptions &opts)
 {
-    const std::string key = compileCacheKey(prog, opts);
+    // Generated once: hashed here for the key, compiled by build().
+    std::vector<CppUnit> units =
+        CompiledArtifact::generate(prog, opts.mode);
+    const std::string key = unitsKey(units, opts);
 
     std::promise<std::shared_ptr<const CompiledArtifact>> promise;
     ArtifactFuture future;
@@ -178,7 +193,7 @@ CompileCache::get(const ElabProgram &prog, const GenccOptions &opts)
 
     if (builder) {
         try {
-            promise.set_value(build(prog, opts, key));
+            promise.set_value(build(prog, opts, std::move(units), key));
         } catch (...) {
             // Propagate to every waiter, then clear the key so a
             // later call can retry (e.g. compiler installed, disk

@@ -5,7 +5,7 @@
  * paper's generated HW/SW interface makes the runtime artifact cheap
  * to instantiate — only holds if the expensive half (generateCpp +
  * host compiler + dlopen) happens once. This cache keys artifacts on
- * a hash of the *generated source* (plus everything that changes the
+ * a hash of the *generated units* (plus everything that changes the
  * binary: gen mode, compile flags, include root), so two sessions
  * serving the same partition share one CompiledArtifact while
  * different partitions can never alias.
@@ -18,7 +18,8 @@
  * one shared directory).
  *
  * Disk layer (optional, CompileCacheOptions::dir): artifacts compile
- * into the given directory under their hash stem and persist, so a
+ * into the given directory and are published there as <key>.so and
+ * <key>.log (the per-unit sources are not kept), so a
  * later cache instance pointed at the same directory reuses the .so
  * without invoking the compiler (a "disk hit"). A reused object is
  * still ABI-version- and layout-checked against the program; a
@@ -36,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "runtime/gencc.hpp"
@@ -83,10 +85,11 @@ class CompileCache
      * The artifact for @p prog under @p opts, compiling at most once
      * per key. Ignores opts.workDir/fileStem/reuseSoPath (the cache
      * owns placement); mode/extraFlags/includeDir participate in the
-     * key. Throws what CompiledArtifact's constructor throws (e.g.
-     * no host compiler, generated code fails to compile) — the error
-     * is rethrown to every waiter of the key, and the key is cleared
-     * so a later call may retry.
+     * key. Generates the units once: they give the key and, on a
+     * miss, are what compiles. Throws what CompiledArtifact's
+     * constructor throws (e.g. no host compiler, generated code fails
+     * to compile) — the error is rethrown to every waiter of the key,
+     * and the key is cleared so a later call may retry.
      */
     std::shared_ptr<const CompiledArtifact> get(
         const ElabProgram &prog, const GenccOptions &opts = {});
@@ -110,7 +113,7 @@ class CompileCache
 
     std::shared_ptr<const CompiledArtifact> build(
         const ElabProgram &prog, GenccOptions opts,
-        const std::string &key);
+        std::vector<CppUnit> units, const std::string &key);
 
     CompileCacheOptions opts_;
     mutable std::mutex mu_;

@@ -12,6 +12,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -20,6 +27,7 @@
 
 #include "common/logging.hpp"
 #include "core/builder.hpp"
+#include "core/codegen_cpp.hpp"
 #include "core/domains.hpp"
 #include "core/elaborate.hpp"
 #include "core/parser.hpp"
@@ -556,6 +564,129 @@ TEST(CodegenExecCosim, VorbisPartitionDCompiledMatchesInterpreted)
     EXPECT_EQ(cr.output, ir.output);
     EXPECT_EQ(cr.swRulesFired, ir.swRulesFired);
     EXPECT_EQ(cr.messages, ir.messages);
+}
+
+/** The full-software Vorbis back end's SW partition: the largest
+ *  generated program in the tree. */
+ElabProgram
+fullSwVorbis()
+{
+    using namespace vorbis;
+    Program prog =
+        makeVorbisProgram(partitionConfig(VorbisPartition::F));
+    ElabProgram elab = elaborate(prog);
+    typecheck(elab);
+    return partitionProgram(elab, inferDomains(elab)).part("SW").prog;
+}
+
+/** Euclid's GCD in one domain: a small program. */
+ElabProgram
+gcdProgram()
+{
+    TypePtr t = Type::bits(32);
+    ModuleBuilder b("Gcd");
+    b.addReg("x", t);
+    b.addReg("y", t);
+    ExprPtr x = regRead("x"), y = regRead("y");
+    b.addRule("swap", whenA(parA({regWrite("x", y), regWrite("y", x)}),
+                            primE(PrimOp::Lt, {x, y})));
+    b.addRule("sub",
+              whenA(regWrite("x", primE(PrimOp::Sub, {x, y})),
+                    primE(PrimOp::And,
+                          {primE(PrimOp::Ge, {x, y}),
+                           primE(PrimOp::Ne, {y, intE(32, 0)})})));
+    ElabProgram elab = elaborate(
+        ProgramBuilder().add(b.build()).setRoot("Gcd").build());
+    typecheck(elab);
+    return elab;
+}
+
+/**
+ * The unit split (core/codegen_cpp.hpp): a pure function of the
+ * program, one unit under the size target, and on a large program
+ * several units that each compile on their own.
+ */
+TEST(CodegenUnits, SplitIsDeterministicAndUnitsStandAlone)
+{
+    ElabProgram gcd = gcdProgram();
+    std::vector<CppUnit> small = generateCpp(gcd, "BclGenPartition");
+    ASSERT_EQ(small.size(), 1u);
+    EXPECT_EQ(small[0].name, "partition");
+
+    ElabProgram vorbis = fullSwVorbis();
+    std::vector<CppUnit> a = generateCpp(vorbis, "BclGenPartition");
+    std::vector<CppUnit> b = generateCpp(vorbis, "BclGenPartition");
+    ASSERT_GE(a.size(), 3u);
+    EXPECT_LE(a.size(), 1 + kCppMaxRuleUnits);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); i++) {
+        EXPECT_EQ(a[i].name, b[i].name);
+        EXPECT_TRUE(a[i].text == b[i].text)
+            << "unit " << a[i].name << " differs between two calls";
+    }
+
+    if (!CompiledPartition::hostCompilerAvailable())
+        GTEST_SKIP() << "no host C++ compiler — syntax checks skipped";
+    const std::string dir = ::testing::TempDir();
+    for (const CppUnit &u : a) {
+        const std::string file = dir + "/bcl_unit_" + u.name + ".cpp";
+        const std::string err = file + ".err";
+        {
+            std::ofstream out(file);
+            out << u.text;
+        }
+        const std::string cmd = "c++ -std=c++20 -fsyntax-only -I\"" +
+                                std::string(BCL_SRC_DIR) + "\" \"" +
+                                file + "\" 2> \"" + err + "\"";
+        EXPECT_EQ(std::system(cmd.c_str()), 0)
+            << "unit " << u.name << " does not compile on its own";
+        std::remove(file.c_str());
+        std::remove(err.c_str());
+    }
+}
+
+/**
+ * A unit that fails to compile ends the build with one error naming
+ * that unit and carrying its log and command, after every child is
+ * reaped, and leaves nothing behind in a shared scratch directory.
+ */
+TEST(CodegenUnits, FailedUnitIsNamedReapedAndCleanedUp)
+{
+    REQUIRE_HOST_COMPILER();
+    ElabProgram prog = fullSwVorbis();
+    const std::string dir = ::testing::TempDir() + "/bcl_unit_fail_" +
+                            std::to_string(::getpid());
+    std::filesystem::create_directories(dir);
+    GenccOptions opts;
+    opts.workDir = dir;
+    // Breaks only the ABI unit's source; -O0 keeps the rule units,
+    // still compiling when the ABI unit fails, quick.
+    opts.extraFlags = "-O0 -Dbcl_gen_abi_version=1";
+
+    std::string msg;
+    try {
+        CompiledArtifact art(prog, opts);
+        ADD_FAILURE() << "the broken unit compiled";
+    } catch (const FatalError &e) {
+        msg = e.what();
+    }
+    EXPECT_NE(msg.find("unit 'abi' failed"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("error"), std::string::npos)
+        << "the unit's compiler log: " << msg;
+    EXPECT_NE(msg.find("(command: "), std::string::npos) << msg;
+    EXPECT_NE(msg.find(".abi.cpp"), std::string::npos) << msg;
+
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1)
+        << "a compile child was left unreaped";
+    EXPECT_EQ(errno, ECHILD);
+
+    std::vector<std::string> left;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        left.push_back(e.path().filename().string());
+    EXPECT_TRUE(left.empty())
+        << left.size() << " file(s) left, first: " << left.front();
+    std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, CodegenExec,

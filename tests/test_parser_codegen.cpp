@@ -158,11 +158,13 @@ TEST_P(CodegenCpp, GeneratesExpectedStructure)
     DomainAssignment doms = inferDomains(elab);
     PartitionResult parts = partitionProgram(elab, doms);
 
-    std::string code = generateCpp(parts.part("SW").prog, "SwPart",
-                                   GetParam());
+    std::vector<CppUnit> units =
+        generateCpp(parts.part("SW").prog, "SwPart", GetParam());
+    ASSERT_EQ(units.size(), 1u) << "a small partition stays one unit";
+    const std::string &code = units[0].text;
     EXPECT_TRUE(containsString(code, "class SwPart"));
-    EXPECT_TRUE(containsString(code, "bool rule_feed()"));
-    EXPECT_TRUE(containsString(code, "bool rule_drain()"));
+    EXPECT_TRUE(containsString(code, "bool SwPart::rule_feed()"));
+    EXPECT_TRUE(containsString(code, "bool SwPart::rule_drain()"));
     EXPECT_TRUE(containsString(code, "run_to_quiescence"));
     EXPECT_TRUE(containsString(code, "gen_support.hpp"));
     if (GetParam() == CppGenMode::Naive) {
@@ -187,8 +189,10 @@ TEST_P(CodegenCpp, GeneratedCodeCompiles)
     ElabProgram elab = elaborate(p);
     DomainAssignment doms = inferDomains(elab);
     PartitionResult parts = partitionProgram(elab, doms);
-    std::string code = generateCpp(parts.part("SW").prog, "SwPart",
-                                   GetParam());
+    std::string code =
+        generateCpp(parts.part("SW").prog, "SwPart", GetParam())
+            .front()
+            .text;
 
     std::string dir = ::testing::TempDir();
     std::string file = dir + "/bcl_gen_test.cpp";
