@@ -82,7 +82,7 @@ main(int argc, char **argv)
     auto emit = [&](const std::string &name, const std::string &text) {
         std::ofstream out(dir / name);
         out << text;
-        std::printf("  %-28s %6zu bytes\n", name.c_str(), text.size());
+        std::printf("  %-32s %6zu bytes\n", name.c_str(), text.size());
     };
 
     std::printf("emitting compiler artifacts for Vorbis partition D "

@@ -151,18 +151,17 @@ class CppGen
         for (int mid : rootActionMethods())
             bodies.push_back(piece([&] { emitMethod(mid); }));
         const std::string abi = piece([&] { emitAbi(); });
+        const std::string header = piece([&] { emitHeader(); });
 
-        // One unit: the members are declared inline, so the
-        // optimizer may fold rules into the schedulers exactly as it
-        // did when they were defined inside the class.
-        std::string one = piece([&] { emitHeader(true); });
+        size_t size = header.size() + abi.size();
         for (const std::string &b : bodies)
-            one += b;
-        one += abi;
-        if (one.size() < kCppUnitTargetBytes)
-            return {{"partition", std::move(one)}};
-
-        const std::string header = piece([&] { emitHeader(false); });
+            size += b.size();
+        if (size < kCppSplitBytes) {
+            std::string one = header;
+            for (const std::string &b : bodies)
+                one += b;
+            return {{"partition", one + abi}};
+        }
         std::vector<CppUnit> units{{"abi", header + abi}};
         for (const std::vector<size_t> &bin : packBodies(bodies)) {
             std::string text = header;
@@ -186,20 +185,14 @@ class CppGen
 
     /**
      * Longest-first bin packing of @p bodies into
-     * min(ceil(total / kCppUnitTargetBytes), kCppMaxRuleUnits) bins:
-     * each body goes to the lightest bin so far (lowest index on
-     * ties). Bins list body indices in program order; there are never
-     * more bins than bodies, so none is empty.
+     * min(kCppRuleUnits, bodies) bins: each body goes to the lightest
+     * bin so far (lowest index on ties). Bins list body indices in
+     * program order; none is empty.
      */
     static std::vector<std::vector<size_t>>
     packBodies(const std::vector<std::string> &bodies)
     {
-        size_t total = 0;
-        for (const std::string &b : bodies)
-            total += b.size();
-        const size_t nbins = std::min(
-            {bodies.size(), kCppMaxRuleUnits,
-             (total + kCppUnitTargetBytes - 1) / kCppUnitTargetBytes});
+        const size_t nbins = std::min(bodies.size(), kCppRuleUnits);
         std::vector<size_t> order(bodies.size());
         for (size_t i = 0; i < order.size(); i++)
             order[i] = i;
@@ -224,12 +217,10 @@ class CppGen
     /**
      * The shared header every unit opens with: includes, helpers,
      * structs and the class (state, member declarations, schedulers,
-     * counters). @p inline_members declares the rule and method
-     * members inline (single-unit form only: an inline member must be
-     * defined in every unit that calls it).
+     * counters).
      */
     void
-    emitHeader(bool inline_members)
+    emitHeader()
     {
         w.writeLine("// Generated by the BCL compiler (partition). "
                     "Do not edit.");
@@ -250,11 +241,10 @@ class CppGen
         w.indent();
         emitState();
         w.blank();
-        const std::string decl = inline_members ? "inline bool " : "bool ";
         for (const auto &r : prog.rules)
-            w.writeLine(decl + "rule_" + ident(r.name) + "();");
+            w.writeLine("bool rule_" + ident(r.name) + "();");
         for (int mid : rootActionMethods())
-            w.writeLine(decl + "method_" + std::to_string(mid) + "(" +
+            w.writeLine("bool method_" + std::to_string(mid) + "(" +
                         methodParams(prog.methods[mid]) + ");");
         w.blank();
         emitScheduler();

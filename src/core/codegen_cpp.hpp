@@ -46,19 +46,20 @@ struct CppUnit
 };
 
 /**
- * Emitted size, in bytes, under which a partition stays one unit, and
- * the rule-and-method body bytes per rule unit above it.
+ * Emitted size, in bytes, from which a partition is split into several
+ * units. Measured -O2 builds (docs/ARCHITECTURE.md, "The harness"):
+ * below it a split saves at most 0.16 s of wall time or loses as
+ * much, from about 20 KB on it saves 0.2-0.7 s.
  */
-constexpr std::size_t kCppUnitTargetBytes = 32 * 1024;
+constexpr std::size_t kCppSplitBytes = 16 * 1024;
 
 /**
- * Most rule units a partition is split into. Every unit repeats the
- * shared header (about 0.35 s of -O2 compile), and the ABI unit bounds
- * the build anyway, so more rule units add work without shortening
- * it. Both constants come from -O2 compile times of the generated
- * Vorbis partitions (docs/ARCHITECTURE.md, "The harness").
+ * Rule units of a split partition (fewer only when it has fewer rule
+ * and method bodies). Every unit repeats the shared header, and the
+ * ABI unit bounds the build anyway: on four cores a fourth rule unit
+ * made full-software Vorbis slower to build, not faster.
  */
-constexpr std::size_t kCppMaxRuleUnits = 3;
+constexpr std::size_t kCppRuleUnits = 3;
 
 /**
  * Generate the C++ translation units for @p prog (a software
@@ -73,14 +74,12 @@ constexpr std::size_t kCppMaxRuleUnits = 3;
  * hidden visibility (only the ABI below is exported), and the rule
  * and method bodies are defined out of line (`bool Class::rule_x()`).
  *
- *   - Under kCppUnitTargetBytes the result is ONE unit, "partition":
- *     header, every body and the ABI glue, with the members declared
- *     inline so the schedulers may inline them as before.
+ *   - Under kCppSplitBytes the result is ONE unit, "partition":
+ *     header, every body and the ABI glue.
  *   - Otherwise the result is an "abi" unit (header + the extern "C"
  *     glue below) followed by "rules_0".."rules_<k-1>": the bodies
- *     bin-packed longest-first into k = min(ceil(body bytes /
- *     kCppUnitTargetBytes), kCppMaxRuleUnits) units of similar size,
- *     each keeping program order.
+ *     bin-packed longest-first into k = min(kCppRuleUnits, bodies)
+ *     units of similar size, each keeping program order.
  *
  * The units together carry a fixed `extern "C"` ABI (`bcl_gen_*`)
  * that lets a host harness drive the compiled partition through

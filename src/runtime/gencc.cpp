@@ -1,9 +1,7 @@
 #include "runtime/gencc.hpp"
 
 #include <dlfcn.h>
-#include <poll.h>
 #include <spawn.h>
-#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -11,6 +9,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -93,64 +92,35 @@ struct CompileJob
     std::string cmd;
     std::string log;
     pid_t pid = -1;
-    int pidfd = -1;    ///< readable once the child exits (-1: none)
     int spawnErr = 0;  ///< posix_spawn's error when it could not start
 };
 
 /** Wait for OUR child @p job only — a forked shm partition child of
  *  the same process must never be reaped here. True on exit 0. */
 bool
-reap(CompileJob &job)
+reap(const CompileJob &job)
 {
     int status = 0;
     pid_t rc = -1;
     do {
         rc = ::waitpid(job.pid, &status, 0);
     } while (rc < 0 && errno == EINTR);
-    if (job.pidfd >= 0)
-        ::close(job.pidfd);
-    job.pidfd = -1;
     return rc == job.pid && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-}
-
-/**
- * Position in @p running of a child that has exited, blocking until
- * one has: poll(2) on the children's pidfds, so whichever unit
- * finishes first frees its slot. A child without a pidfd (kernel
- * without pidfd_open) is returned at once and waited for in turn.
- */
-size_t
-nextExited(const std::vector<CompileJob> &jobs,
-           const std::vector<size_t> &running)
-{
-    std::vector<pollfd> fds;
-    for (size_t i : running) {
-        if (jobs[i].pidfd < 0)
-            return fds.size();
-        fds.push_back({jobs[i].pidfd, POLLIN, 0});
-    }
-    while (::poll(fds.data(), fds.size(), -1) < 0 && errno == EINTR) {
-    }
-    for (size_t k = 0; k < fds.size(); k++) {
-        if (fds[k].revents != 0)
-            return k;
-    }
-    return 0;  // poll failed outright: wait for the oldest
 }
 
 /**
  * Run @p jobs as `/bin/sh -c` children, in list order, at most
  * @p limit at a time, from the calling thread (no helper threads).
- * When the limit is reached, the next child starts as soon as any
- * running one exits. After the first failure no further child
- * starts, and every started one is still reaped before returning.
+ * At the limit, the oldest running child is waited for before the
+ * next starts. After the first failure no further child starts, and
+ * every started one is still reaped before returning.
  * @return index of the first job that failed, or jobs.size().
  */
 size_t
 runJobs(std::vector<CompileJob> &jobs, size_t limit)
 {
     size_t failed = jobs.size();
-    std::vector<size_t> running;
+    std::deque<size_t> running;
     for (size_t next = 0; next < jobs.size() || !running.empty();) {
         if (next < jobs.size() && failed == jobs.size() &&
             running.size() < limit) {
@@ -160,28 +130,17 @@ runJobs(std::vector<CompileJob> &jobs, size_t limit)
             job.spawnErr = ::posix_spawn(
                 &job.pid, "/bin/sh", nullptr, nullptr,
                 const_cast<char *const *>(argv), environ);
-            if (job.spawnErr != 0) {
+            if (job.spawnErr != 0)
                 failed = next;
-            } else {
-                // Unreaped, the child's pid cannot be reused, so the
-                // pidfd is race-free. (A raw syscall: not every libc
-                // declares pidfd_open usably from C++.)
-#ifdef SYS_pidfd_open
-                job.pidfd = static_cast<int>(
-                    ::syscall(SYS_pidfd_open, job.pid, 0));
-#endif
+            else
                 running.push_back(next);
-            }
             next++;
             continue;
         }
         if (running.empty())
             break;  // a failure stopped the remaining starts
-        const auto at = running.begin() +
-                        static_cast<std::ptrdiff_t>(
-                            nextExited(jobs, running));
-        const size_t i = *at;
-        running.erase(at);
+        const size_t i = running.front();
+        running.pop_front();
         if (!reap(jobs[i]) && failed == jobs.size())
             failed = i;
     }
@@ -203,18 +162,6 @@ CompiledArtifact::hostCompilerAvailable()
         return std::system(cmd.c_str()) == 0;
     }();
     return available;
-}
-
-std::vector<CppUnit>
-CompiledArtifact::generate(const ElabProgram &prog, CppGenMode mode)
-{
-    return generateCpp(prog, "BclGenPartition", mode);
-}
-
-CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
-                                   GenccOptions opts)
-    : CompiledArtifact(prog, std::move(opts), {})
-{
 }
 
 CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
@@ -255,7 +202,8 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
         rejectMeta("include directory", inc);
 
         if (units_.empty())
-            units_ = generate(prog_, opts_.mode);
+            units_ =
+                generateCpp(prog_, "BclGenPartition", opts_.mode);
         ownDir_ = opts_.workDir.empty();
         dir_ = ownDir_ ? makeWorkDir() : opts_.workDir;
         rejectMeta("scratch directory", dir_);  // covers $TMPDIR too

@@ -8,8 +8,8 @@
  *
  * The build: each unit is written to <stem>.<unit>.cpp in the scratch
  * directory and compiled by its own `/bin/sh -c` child started with
- * posix_spawn — at most hardware_concurrency at a time, the next one
- * starting as soon as any exits (poll on pidfds), all started and
+ * posix_spawn — at most hardware_concurrency at a time (at the limit
+ * the oldest is waited for before the next starts), all started and
  * reaped (waitpid on their own pids only) by the calling thread, no
  * helper threads. A multi-unit build then links the objects with
  * one more child; a single unit compiles straight to the .so. The
@@ -145,19 +145,14 @@ class CompiledArtifact
      *  (cached after the first call). */
     static bool hostCompilerAvailable();
 
-    /** The units an artifact for @p prog compiles under @p mode. */
-    static std::vector<CppUnit> generate(const ElabProgram &prog,
-                                         CppGenMode mode);
-
     /** Generate, compile and dlopen (or reuse, see
-     *  GenccOptions::reuseSoPath) the partition for @p prog. */
-    CompiledArtifact(const ElabProgram &prog, GenccOptions opts = {});
-
-    /** Compile @p units — generate(prog, opts.mode) output the caller
-     *  already holds (the CompileCache hashes them for its key) —
-     *  instead of generating them again. */
-    CompiledArtifact(const ElabProgram &prog, GenccOptions opts,
-                     std::vector<CppUnit> units);
+     *  GenccOptions::reuseSoPath) the partition for @p prog. Non-empty
+     *  @p units are compiled instead of generating them again: they
+     *  must be generateCpp(prog, "BclGenPartition", opts.mode) output
+     *  the caller already holds (the CompileCache hashes them for its
+     *  key). */
+    CompiledArtifact(const ElabProgram &prog, GenccOptions opts = {},
+                     std::vector<CppUnit> units = {});
     ~CompiledArtifact();
 
     CompiledArtifact(const CompiledArtifact &) = delete;

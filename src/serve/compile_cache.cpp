@@ -48,7 +48,7 @@ modeName(CppGenMode m)
     return "?";
 }
 
-/** The key of @p units (generate() output) under @p opts. */
+/** The key of @p units (generateCpp() output) under @p opts. */
 std::string
 unitsKey(const std::vector<CppUnit> &units, const GenccOptions &opts)
 {
@@ -72,7 +72,8 @@ unitsKey(const std::vector<CppUnit> &units, const GenccOptions &opts)
 std::string
 compileCacheKey(const ElabProgram &prog, const GenccOptions &opts)
 {
-    return unitsKey(CompiledArtifact::generate(prog, opts.mode), opts);
+    return unitsKey(generateCpp(prog, "BclGenPartition", opts.mode),
+                    opts);
 }
 
 CompileCache::CompileCache(CompileCacheOptions opts)
@@ -170,7 +171,7 @@ CompileCache::get(const ElabProgram &prog, const GenccOptions &opts)
 {
     // Generated once: hashed here for the key, compiled by build().
     std::vector<CppUnit> units =
-        CompiledArtifact::generate(prog, opts.mode);
+        generateCpp(prog, "BclGenPartition", opts.mode);
     const std::string key = unitsKey(units, opts);
 
     std::promise<std::shared_ptr<const CompiledArtifact>> promise;

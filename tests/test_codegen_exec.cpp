@@ -617,7 +617,7 @@ TEST(CodegenUnits, SplitIsDeterministicAndUnitsStandAlone)
     std::vector<CppUnit> a = generateCpp(vorbis, "BclGenPartition");
     std::vector<CppUnit> b = generateCpp(vorbis, "BclGenPartition");
     ASSERT_GE(a.size(), 3u);
-    EXPECT_LE(a.size(), 1 + kCppMaxRuleUnits);
+    EXPECT_EQ(a.size(), 1 + kCppRuleUnits);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); i++) {
         EXPECT_EQ(a[i].name, b[i].name);
