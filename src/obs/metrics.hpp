@@ -24,6 +24,7 @@
  *   gencc.compiles                       counter
  *   gencc.units                          counter (units compiled)
  *   gencc.compile_ms                     histogram (artifact wall)
+ *   gencc.unit_cpu_ms                    histogram (user+sys per unit)
  *   serve.session.frame_ms               histogram (ready-to-done)
  *   serve.pool.workers                   gauge
  *   serve.pool.quanta                    counter

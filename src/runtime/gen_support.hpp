@@ -6,7 +6,9 @@
  * header. It provides:
  *
  *   - gen::Reg / gen::Fifo / gen::Bram / gen::Device: primitive state
- *     with the same guarded interfaces as the runtime primitives,
+ *     with the same guarded interfaces as the runtime primitives
+ *     (gen::Fifo on a fixed ring of `capacity` slots, so a message
+ *     costs no allocation),
  *   - shadow copies with commit/rollback (the change-log discipline
  *     of section 6.1),
  *   - gen::GuardFail for the try/catch strategy of Figure 9,
@@ -62,6 +64,14 @@ class Reg
 /**
  * A guarded FIFO with shadow/commit/rollback.
  *
+ * Storage is a ring of `capacity` slots allocated once, in the
+ * constructor: enq/first/deq are index arithmetic and never allocate
+ * (a 512-byte Vorbis frame is copied into its slot, not into a fresh
+ * heap node). Memory is therefore capacity x sizeof(T) from the start.
+ * The snapshot is a std::deque of the entries, oldest first; only a
+ * unit that shadows a fifo (a rule whose guard is not fully lifted)
+ * instantiates deque code for its element type.
+ *
  * The reserved-slot count is host-set state, not rule state: the
  * compiled hardware backend reserves one slot per message still
  * waiting on the host side of a SyncTx, so the producer guard feels
@@ -72,53 +82,91 @@ template <typename T>
 class Fifo
 {
   public:
-    explicit Fifo(int capacity) : cap(capacity) {}
-
-    bool
-    canEnq() const
+    explicit Fifo(int capacity)
+        : ring(static_cast<std::size_t>(capacity > 0 ? capacity : 0)),
+          cap(capacity)
     {
-        return static_cast<int>(q.size()) + reserved < cap;
     }
-    bool canDeq() const { return !q.empty(); }
-    bool notEmpty() const { return !q.empty(); }
+
+    bool canEnq() const { return count + reserved < cap; }
+    bool canDeq() const { return count > 0; }
+    bool notEmpty() const { return count > 0; }
     bool notFull() const { return canEnq(); }
-    std::size_t size() const { return q.size(); }
+    std::size_t size() const { return static_cast<std::size_t>(count); }
 
     void
     enq(const T &v)
     {
         if (!canEnq())
             throw GuardFail{};
-        q.push_back(v);
+        ring[slot(count)] = v;
+        count++;
     }
 
     const T &
     first() const
     {
-        if (q.empty())
+        if (count == 0)
             throw GuardFail{};
-        return q.front();
+        return ring[static_cast<std::size_t>(head)];
     }
 
     void
     deq()
     {
-        if (q.empty())
+        if (count == 0)
             throw GuardFail{};
-        q.pop_front();
+        head = static_cast<int>(slot(1));
+        count--;
     }
 
-    void clear() { q.clear(); }
+    void
+    clear()
+    {
+        head = 0;
+        count = 0;
+    }
 
-    /** Hold @p slots for entries that live outside this fifo. */
-    void reserve(int slots) { reserved = slots; }
+    /** Hold @p slots (negative reads as 0) for entries that live
+     *  outside this fifo. */
+    void reserve(int slots) { reserved = slots > 0 ? slots : 0; }
 
-    std::deque<T> shadow() const { return q; }
-    void rollback(const std::deque<T> &shadow) { q = shadow; }
+    std::deque<T>
+    shadow() const
+    {
+        std::deque<T> out;
+        for (int i = 0; i < count; i++)
+            out.push_back(ring[slot(i)]);
+        return out;
+    }
+
+    /** Restore a shadow() of this fifo. A snapshot of more than
+     *  capacity entries cannot come from it: refused with GuardFail,
+     *  the fifo unchanged. (No <stdexcept>: it would add ~13k
+     *  preprocessed lines to every generated unit.) */
+    void
+    rollback(const std::deque<T> &shadow)
+    {
+        if (shadow.size() > ring.size())
+            throw GuardFail{};
+        clear();
+        for (const T &v : shadow)
+            ring[static_cast<std::size_t>(count++)] = v;
+    }
 
   private:
-    std::deque<T> q;
+    /** Ring index of the entry @p i places after the head. */
+    std::size_t
+    slot(int i) const
+    {
+        int s = head + i;
+        return static_cast<std::size_t>(s >= cap ? s - cap : s);
+    }
+
+    std::vector<T> ring;
     int cap;
+    int head = 0;
+    int count = 0;
     int reserved = 0;
 };
 

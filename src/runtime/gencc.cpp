@@ -2,6 +2,7 @@
 
 #include <dlfcn.h>
 #include <spawn.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -29,17 +30,6 @@ compilerCommand()
 {
     const char *cxx = std::getenv("CXX");
     return cxx && *cxx ? cxx : "c++";
-}
-
-/** Include root holding runtime/gen_support.hpp. */
-std::string
-defaultIncludeDir()
-{
-#ifdef BCL_GENCC_INCLUDE_DIR
-    return BCL_GENCC_INCLUDE_DIR;
-#else
-    return "";
-#endif
 }
 
 std::string
@@ -93,18 +83,27 @@ struct CompileJob
     std::string log;
     pid_t pid = -1;
     int spawnErr = 0;  ///< posix_spawn's error when it could not start
+    double cpuMs = 0;  ///< user+sys of the child and its compiler
 };
 
 /** Wait for OUR child @p job only — a forked shm partition child of
- *  the same process must never be reaped here. True on exit 0. */
+ *  the same process must never be reaped here. Records the child's
+ *  CPU time (wait4 folds in the compiler processes the shell waited
+ *  for) in job.cpuMs. True on exit 0. */
 bool
-reap(const CompileJob &job)
+reap(CompileJob &job)
 {
     int status = 0;
+    struct rusage ru{};
     pid_t rc = -1;
     do {
-        rc = ::waitpid(job.pid, &status, 0);
+        rc = ::wait4(job.pid, &status, 0, &ru);
     } while (rc < 0 && errno == EINTR);
+    auto ms = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) * 1e3 +
+               static_cast<double>(tv.tv_usec) / 1e3;
+    };
+    job.cpuMs = ms(ru.ru_utime) + ms(ru.ru_stime);
     return rc == job.pid && WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
@@ -164,6 +163,18 @@ CompiledArtifact::hostCompilerAvailable()
     return available;
 }
 
+std::string
+CompiledArtifact::includeDir(const GenccOptions &opts)
+{
+    if (!opts.includeDir.empty())
+        return opts.includeDir;
+#ifdef BCL_GENCC_INCLUDE_DIR
+    return BCL_GENCC_INCLUDE_DIR;
+#else
+    return "";
+#endif
+}
+
 CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
                                    GenccOptions opts,
                                    std::vector<CppUnit> units)
@@ -183,9 +194,7 @@ CompiledArtifact::CompiledArtifact(const ElabProgram &prog,
                    .string();
         load(opts_.reuseSoPath);
     } else {
-        std::string inc = opts_.includeDir.empty()
-                              ? defaultIncludeDir()
-                              : opts_.includeDir;
+        const std::string inc = includeDir(opts_);
         if (inc.empty())
             fatal("gencc: include directory for "
                   "runtime/gen_support.hpp unknown; set "
@@ -338,6 +347,13 @@ CompiledArtifact::compile(const std::string &stem,
         .observe(std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count());
+    // Per unit (not the link): the slowest unit bounds the wall time
+    // above, so its bucket is the one to act on.
+    obs::Histogram &unit_cpu = obs::metrics().histogram(
+        "gencc.unit_cpu_ms",
+        obs::Histogram::exponentialBounds(1.0, 2.0, 16));
+    for (size_t i = 0; i < units_.size(); i++)
+        unit_cpu.observe(jobs[i].cpuMs);
 }
 
 void

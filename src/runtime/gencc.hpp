@@ -145,6 +145,10 @@ class CompiledArtifact
      *  (cached after the first call). */
     static bool hostCompilerAvailable();
 
+    /** The include root @p opts compiles against: opts.includeDir, or
+     *  the source tree the harness was built from ("" if neither). */
+    static std::string includeDir(const GenccOptions &opts);
+
     /** Generate, compile and dlopen (or reuse, see
      *  GenccOptions::reuseSoPath) the partition for @p prog. Non-empty
      *  @p units are compiled instead of generating them again: they

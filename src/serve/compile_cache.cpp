@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include <unistd.h>
 
@@ -55,7 +57,10 @@ unitsKey(const std::vector<CppUnit> &units, const GenccOptions &opts)
     // The generated units are the ground truth the .so was built
     // from; mode is folded in as well (it changes the units anyway,
     // but belt and braces), and the flag/include knobs change the
-    // binary without changing the units.
+    // binary without changing the units. So does the support library
+    // the units include: its bytes, read from the include root the
+    // compile will use, keep a persisted .so built against an older
+    // gen_support.hpp from being served.
     std::uint64_t h = 1469598103934665603ull;
     for (const CppUnit &u : units) {
         h = fnv1a(h, u.name);
@@ -63,7 +68,12 @@ unitsKey(const std::vector<CppUnit> &units, const GenccOptions &opts)
     }
     h = fnv1a(h, modeName(opts.mode));
     h = fnv1a(h, opts.extraFlags);
-    h = fnv1a(h, opts.includeDir);
+    const std::string inc = CompiledArtifact::includeDir(opts);
+    h = fnv1a(h, inc);
+    std::ifstream support(inc + "/runtime/gen_support.hpp",
+                          std::ios::binary);
+    h = fnv1a(h, std::string(std::istreambuf_iterator<char>(support),
+                             std::istreambuf_iterator<char>()));
     return hex64(h);
 }
 

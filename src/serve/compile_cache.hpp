@@ -6,7 +6,8 @@
  * to instantiate — only holds if the expensive half (generateCpp +
  * host compiler + dlopen) happens once. This cache keys artifacts on
  * a hash of the *generated units* (plus everything that changes the
- * binary: gen mode, compile flags, include root), so two sessions
+ * binary: gen mode, compile flags, include root and the bytes of the
+ * runtime/gen_support.hpp under it), so two sessions
  * serving the same partition share one CompiledArtifact while
  * different partitions can never alias.
  *

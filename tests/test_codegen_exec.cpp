@@ -33,6 +33,7 @@
 #include "core/parser.hpp"
 #include "core/partition.hpp"
 #include "core/typecheck.hpp"
+#include "obs/metrics.hpp"
 #include "platform/cosim.hpp"
 #include "runtime/exec.hpp"
 #include "runtime/gencc.hpp"
@@ -201,6 +202,93 @@ TEST_P(CodegenExec, MethodGuardFailureRollsBackPartialWrites)
     EXPECT_TRUE(compiled.callActionMethod(emit, {}));
     ASSERT_TRUE(compiled.popPrim(fifo, v));
     EXPECT_EQ(v.asInt(), 11);
+}
+
+/**
+ * Rules that deq and enq the SAME fifo, on a capacity-3 and a
+ * capacity-1 fifo: the enq lands in the slot the deq just freed, so
+ * the generated fifo's ring wraps on every rotation. `rot3` checks its
+ * guard only after the deq/enq ran, so a failed attempt rolls a
+ * wrapped ring back from its shadow. Values climb by 100 through the
+ * capacity-3 ring, move to the capacity-1 ring, climb by 1000 and
+ * leave through `done`; outputs and firing counts must match the
+ * interpreter under every strategy.
+ */
+ElabProgram
+sameFifoProgram()
+{
+    TypePtr t = Type::bits(32);
+    ModuleBuilder b("Top");
+    b.addReg("n", t);
+    b.addFifo("three", t, 3);
+    b.addFifo("one", t, 1);
+    b.addFifo("done", t, 16);
+    auto lt = [](const char *v, int k) {
+        return primE(PrimOp::Lt, {varE(v), intE(32, k)});
+    };
+    auto plus = [](const char *v, int k) {
+        return primE(PrimOp::Add, {varE(v), intE(32, k)});
+    };
+    b.addRule("fill",
+              whenA(parA({callA("three", "enq", {regRead("n")}),
+                          regWrite("n", primE(PrimOp::Add,
+                                              {regRead("n"),
+                                               intE(32, 1)}))}),
+                    primE(PrimOp::Lt, {regRead("n"), intE(32, 10)})));
+    b.addRule("rot3",
+              letA("x", callV("three", "first"),
+                   seqA({callA("three", "deq"),
+                         callA("three", "enq", {plus("x", 100)}),
+                         whenA(noOpA(), lt("x", 300))})));
+    b.addRule("move",
+              letA("x", callV("three", "first"),
+                   whenA(parA({callA("three", "deq"),
+                               callA("one", "enq", {varE("x")})}),
+                         primE(PrimOp::Ge, {varE("x"),
+                                            intE(32, 300)}))));
+    b.addRule("rot1",
+              letA("x", callV("one", "first"),
+                   whenA(seqA({callA("one", "deq"),
+                               callA("one", "enq", {plus("x", 1000)})}),
+                         lt("x", 3000))));
+    b.addRule("drain",
+              letA("x", callV("one", "first"),
+                   whenA(parA({callA("one", "deq"),
+                               callA("done", "enq", {varE("x")})}),
+                         primE(PrimOp::Ge, {varE("x"),
+                                            intE(32, 3000)}))));
+    ElabProgram elab = elaborate(
+        ProgramBuilder().add(b.build()).setRoot("Top").build());
+    typecheck(elab);
+    return elab;
+}
+
+TEST_P(CodegenExec, SameFifoDeqEnqRingsMatchInterpreter)
+{
+    REQUIRE_HOST_COMPILER();
+    ElabProgram prog = sameFifoProgram();
+    int done = prog.primByPath("done");
+
+    Store store(prog);
+    Interp interp(prog, store);
+    RuleEngine engine(interp, SwStrategy::StaticOrder);
+    engine.runToQuiescence();
+    std::vector<Value> expect(store.at(done).queue.begin(),
+                              store.at(done).queue.end());
+    ASSERT_EQ(expect.size(), 10u);
+    EXPECT_GT(interp.stats().guardFails, 0u);
+
+    CompiledPartition compiled(prog, options());
+    compiled.runToQuiescence();
+    std::vector<Value> got;
+    Value v;
+    while (compiled.popPrim(done, v))
+        got.push_back(v);
+
+    EXPECT_EQ(compiled.rulesFired(), interp.stats().rulesFired);
+    ASSERT_EQ(got.size(), expect.size());
+    for (size_t i = 0; i < got.size(); i++)
+        EXPECT_EQ(got[i], expect[i]) << "message " << i;
 }
 
 /**
@@ -687,6 +775,26 @@ TEST(CodegenUnits, FailedUnitIsNamedReapedAndCleanedUp)
     EXPECT_TRUE(left.empty())
         << left.size() << " file(s) left, first: " << left.front();
     std::filesystem::remove_all(dir);
+}
+
+/** Every unit compile records its CPU time (the child reaped with
+ *  wait4), one observation per unit; the link records none. */
+TEST(CodegenUnits, UnitCpuTimeIsRecordedPerUnit)
+{
+    REQUIRE_HOST_COMPILER();
+    obs::MetricsRegistry &reg = obs::metrics();
+    const bool was_enabled = reg.enabled();
+    reg.enable(true);
+    obs::Histogram &cpu = reg.histogram(
+        "gencc.unit_cpu_ms",
+        obs::Histogram::exponentialBounds(1.0, 2.0, 16));
+    const std::uint64_t before = cpu.count();
+    const double sum_before = cpu.sum();
+
+    CompiledArtifact art(gcdProgram());
+    EXPECT_EQ(cpu.count() - before, 1u);  // one unit: "partition"
+    EXPECT_GT(cpu.sum() - sum_before, 0.0);
+    reg.enable(was_enabled);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, CodegenExec,

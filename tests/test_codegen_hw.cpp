@@ -434,6 +434,91 @@ TEST(CodegenHw, CounterHwPartitionMatchesClockSimCycleExactly)
     EXPECT_EQ(chw.stats().perRuleFires, sim.stats().perRuleFires);
 }
 
+/**
+ * Values circulating through a capacity-3 and a capacity-1 fifo. A
+ * hardware rule cannot deq and enq one fifo itself (sequential
+ * composition is not synthesizable and a parallel one is a double
+ * write), so here the deq and the enq of each fifo come from two
+ * rules, often in one clock edge: `up` moves three -> one, `back`
+ * one -> three, so both rings wrap on every lap. A value leaves
+ * through `done` once three laps have lifted it past 300.
+ */
+ElabProgram
+circulateProgram()
+{
+    ModuleBuilder b("Top");
+    b.addReg("n", w32());
+    b.addFifo("three", w32(), 3);
+    b.addFifo("one", w32(), 1);
+    b.addFifo("done", w32(), 4);
+    auto cmp = [](PrimOp op, const char *v, int k) {
+        return primE(op, {varE(v), intE(32, k)});
+    };
+    // Fill only while `one` is empty: at most three values circulate,
+    // so the two full rings never block each other.
+    b.addRule("fill",
+              whenA(parA({callA("three", "enq", {regRead("n")}),
+                          regWrite("n", primE(PrimOp::Add,
+                                              {regRead("n"),
+                                               intE(32, 1)}))}),
+                    primE(PrimOp::And,
+                          {primE(PrimOp::Lt,
+                                 {regRead("n"), intE(32, 10)}),
+                           primE(PrimOp::Not,
+                                 {callV("one", "notEmpty")})})));
+    b.addRule("up",
+              letA("x", callV("three", "first"),
+                   whenA(parA({callA("three", "deq"),
+                               callA("one", "enq",
+                                     {cmp(PrimOp::Add, "x", 100)})}),
+                         cmp(PrimOp::Lt, "x", 300))));
+    b.addRule("back",
+              letA("y", callV("one", "first"),
+                   parA({callA("one", "deq"),
+                         callA("three", "enq", {varE("y")})})));
+    b.addRule("out",
+              letA("x", callV("three", "first"),
+                   whenA(parA({callA("three", "deq"),
+                               callA("done", "enq", {varE("x")})}),
+                         cmp(PrimOp::Ge, "x", 300))));
+    Program p = ProgramBuilder().add(b.build()).setRoot("Top").build();
+    return elaborate(p);
+}
+
+TEST(CodegenHw, CirculatingFifoRingsMatchClockSimCycleExactly)
+{
+    REQUIRE_HOST_COMPILER();
+    ElabProgram hw = circulateProgram();
+    int done = hw.primByPath("done");
+
+    Store store(hw);
+    ClockSim sim(hw, store);
+    std::vector<Value> ref_out;
+    while (sim.cycle() > 0) {
+        ValueQueue &q = store.at(done).queue;
+        while (!q.empty()) {
+            ref_out.push_back(q.front());
+            q.pop_front();
+        }
+    }
+    ASSERT_EQ(ref_out.size(), 10u);
+
+    CompiledHwPartition chw(hw);
+    std::vector<Value> got_out;
+    Value v;
+    while (chw.cycle() > 0) {
+        while (chw.popPrim(done, v))
+            got_out.push_back(v);
+    }
+
+    ASSERT_EQ(got_out.size(), ref_out.size());
+    for (size_t i = 0; i < ref_out.size(); i++)
+        EXPECT_EQ(got_out[i], ref_out[i]) << "message " << i;
+    EXPECT_EQ(chw.stats().cycles, sim.stats().cycles);
+    EXPECT_EQ(chw.stats().busyCycles, sim.stats().busyCycles);
+    EXPECT_EQ(chw.stats().perRuleFires, sim.stats().perRuleFires);
+}
+
 TEST(CodegenHw, IfftPipeMatchesClockSimCycleExactly)
 {
     REQUIRE_HOST_COMPILER();

@@ -176,6 +176,34 @@ TEST(CompileCache, DifferentSourcesAndModesNeverAlias)
 }
 
 /**
+ * The key covers the support library the units include, read from
+ * the include root the compile will use: a persisted .so built
+ * against another runtime/gen_support.hpp must never be a disk hit.
+ * Needs no compiler: the key is derived from generated text only.
+ */
+TEST(CompileCache, KeyFollowsSupportHeaderBytes)
+{
+    ElabProgram prog = sequenceProgram();
+    fs::path inc = fs::temp_directory_path() /
+                   ("bcl_cache_test_" + std::to_string(::getpid()) +
+                    "_inc");
+    fs::create_directories(inc / "runtime");
+    const fs::path header = inc / "runtime" / "gen_support.hpp";
+    fs::copy_file(std::string(BCL_SRC_DIR) + "/runtime/gen_support.hpp",
+                  header, fs::copy_options::overwrite_existing);
+
+    GenccOptions opts;
+    opts.includeDir = inc.string();
+    const std::string original = compileCacheKey(prog, opts);
+    EXPECT_EQ(compileCacheKey(prog, opts), original);
+
+    // Same path, edited bytes: a different key.
+    std::ofstream(header, std::ios::app) << "// edited\n";
+    EXPECT_NE(compileCacheKey(prog, opts), original);
+    fs::remove_all(inc);
+}
+
+/**
  * Disk layer: a second cache instance pointed at the same directory
  * reuses the persisted .so without invoking the compiler, and its
  * instances behave identically to the compiling cache's.
