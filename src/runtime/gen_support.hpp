@@ -68,6 +68,9 @@ class Reg
  * constructor: enq/first/deq are index arithmetic and never allocate
  * (a 512-byte Vorbis frame is copied into its slot, not into a fresh
  * heap node). Memory is therefore capacity x sizeof(T) from the start.
+ * Each slot wraps its value in a struct so that Fifo<bool> (the BCL
+ * Bool type) does not land on std::vector<bool>, whose elements are
+ * bits that first() could not return a reference to.
  * The snapshot is a std::deque of the entries, oldest first; only a
  * unit that shadows a fifo (a rule whose guard is not fully lifted)
  * instantiates deque code for its element type.
@@ -83,12 +86,11 @@ class Fifo
 {
   public:
     explicit Fifo(int capacity)
-        : ring(static_cast<std::size_t>(capacity > 0 ? capacity : 0)),
-          cap(capacity)
+        : ring(static_cast<std::size_t>(capacity > 0 ? capacity : 0))
     {
     }
 
-    bool canEnq() const { return count + reserved < cap; }
+    bool canEnq() const { return count + reserved < capacity(); }
     bool canDeq() const { return count > 0; }
     bool notEmpty() const { return count > 0; }
     bool notFull() const { return canEnq(); }
@@ -99,7 +101,7 @@ class Fifo
     {
         if (!canEnq())
             throw GuardFail{};
-        ring[slot(count)] = v;
+        ring[slot(count)].v = v;
         count++;
     }
 
@@ -108,7 +110,7 @@ class Fifo
     {
         if (count == 0)
             throw GuardFail{};
-        return ring[static_cast<std::size_t>(head)];
+        return ring[static_cast<std::size_t>(head)].v;
     }
 
     void
@@ -136,7 +138,7 @@ class Fifo
     {
         std::deque<T> out;
         for (int i = 0; i < count; i++)
-            out.push_back(ring[slot(i)]);
+            out.push_back(ring[slot(i)].v);
         return out;
     }
 
@@ -151,20 +153,27 @@ class Fifo
             throw GuardFail{};
         clear();
         for (const T &v : shadow)
-            ring[static_cast<std::size_t>(count++)] = v;
+            ring[static_cast<std::size_t>(count++)].v = v;
     }
 
   private:
+    struct Slot
+    {
+        T v;
+    };
+
+    int capacity() const { return static_cast<int>(ring.size()); }
+
     /** Ring index of the entry @p i places after the head. */
     std::size_t
     slot(int i) const
     {
         int s = head + i;
-        return static_cast<std::size_t>(s >= cap ? s - cap : s);
+        return static_cast<std::size_t>(s >= capacity() ? s - capacity()
+                                                        : s);
     }
 
-    std::vector<T> ring;
-    int cap;
+    std::vector<Slot> ring;
     int head = 0;
     int count = 0;
     int reserved = 0;

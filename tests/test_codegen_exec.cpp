@@ -211,8 +211,10 @@ TEST_P(CodegenExec, MethodGuardFailureRollsBackPartialWrites)
  * guard only after the deq/enq ran, so a failed attempt rolls a
  * wrapped ring back from its shadow. Values climb by 100 through the
  * capacity-3 ring, move to the capacity-1 ring, climb by 1000 and
- * leave through `done`; outputs and firing counts must match the
- * interpreter under every strategy.
+ * leave through `done`. Each value leaving also tags a Bool fifo of
+ * capacity 2, which `flag` drains inverted into `flags`, so generated
+ * code runs gen::Fifo<bool> in rules and in the ABI pop. Outputs and
+ * firing counts must match the interpreter under every strategy.
  */
 ElabProgram
 sameFifoProgram()
@@ -223,6 +225,8 @@ sameFifoProgram()
     b.addFifo("three", t, 3);
     b.addFifo("one", t, 1);
     b.addFifo("done", t, 16);
+    b.addFifo("bits", Type::boolean(), 2);
+    b.addFifo("flags", Type::boolean(), 16);
     auto lt = [](const char *v, int k) {
         return primE(PrimOp::Lt, {varE(v), intE(32, k)});
     };
@@ -254,9 +258,15 @@ sameFifoProgram()
     b.addRule("drain",
               letA("x", callV("one", "first"),
                    whenA(parA({callA("one", "deq"),
-                               callA("done", "enq", {varE("x")})}),
+                               callA("done", "enq", {varE("x")}),
+                               callA("bits", "enq", {lt("x", 3305)})}),
                          primE(PrimOp::Ge, {varE("x"),
                                             intE(32, 3000)}))));
+    b.addRule("flag",
+              letA("f", callV("bits", "first"),
+                   parA({callA("bits", "deq"),
+                         callA("flags", "enq",
+                               {primE(PrimOp::Not, {varE("f")})})})));
     ElabProgram elab = elaborate(
         ProgramBuilder().add(b.build()).setRoot("Top").build());
     typecheck(elab);
@@ -267,28 +277,30 @@ TEST_P(CodegenExec, SameFifoDeqEnqRingsMatchInterpreter)
 {
     REQUIRE_HOST_COMPILER();
     ElabProgram prog = sameFifoProgram();
-    int done = prog.primByPath("done");
-
     Store store(prog);
     Interp interp(prog, store);
     RuleEngine engine(interp, SwStrategy::StaticOrder);
     engine.runToQuiescence();
-    std::vector<Value> expect(store.at(done).queue.begin(),
-                              store.at(done).queue.end());
-    ASSERT_EQ(expect.size(), 10u);
     EXPECT_GT(interp.stats().guardFails, 0u);
 
     CompiledPartition compiled(prog, options());
     compiled.runToQuiescence();
-    std::vector<Value> got;
-    Value v;
-    while (compiled.popPrim(done, v))
-        got.push_back(v);
-
     EXPECT_EQ(compiled.rulesFired(), interp.stats().rulesFired);
-    ASSERT_EQ(got.size(), expect.size());
-    for (size_t i = 0; i < got.size(); i++)
-        EXPECT_EQ(got[i], expect[i]) << "message " << i;
+
+    for (const char *out : {"done", "flags"}) {
+        SCOPED_TRACE(out);
+        int id = prog.primByPath(out);
+        std::vector<Value> expect(store.at(id).queue.begin(),
+                                  store.at(id).queue.end());
+        ASSERT_EQ(expect.size(), 10u);
+        std::vector<Value> got;
+        Value v;
+        while (compiled.popPrim(id, v))
+            got.push_back(v);
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t i = 0; i < got.size(); i++)
+            EXPECT_EQ(got[i], expect[i]) << "message " << i;
+    }
 }
 
 /**

@@ -154,96 +154,117 @@ TEST(GenSupportProperty, FifoReservedSlotsCountTowardCapacity)
 }
 
 /**
- * The fifo's fixed ring against a std::deque model, at capacities
- * where the ring is one slot, not a power of two, and eight slots.
- * Random enq/deq/clear/reserve inside shadow/rollback transactions;
- * the run must roll back shadows taken after the head went round the
- * ring at least once, so the shadow's oldest-first order and the
- * restore are checked across the wrap.
+ * The fifo's fixed ring against a std::deque model of element type T,
+ * at capacity @p cap. Random enq/deq/clear/reserve inside
+ * shadow/rollback transactions; the run must roll back shadows taken
+ * after the head went round the ring at least once, so the shadow's
+ * oldest-first order and the restore are checked across the wrap.
+ * @p draw makes the next value to enqueue.
+ */
+template <typename T, typename Draw>
+void
+checkRingAgainstDequeModel(int cap, Rng &rng, Draw draw)
+{
+    gen::Fifo<T> fifo{cap};
+    std::deque<T> model;
+    int reserved = 0;
+    int deqs_since_reset = 0;  // rollback and clear restart the ring
+    int wrapped_rollbacks = 0;
+
+    for (int iter = 0; iter < 4 * kIterations; iter++) {
+        const auto shadow = fifo.shadow();
+        ASSERT_EQ(shadow, model);
+        const std::deque<T> before = model;
+        const bool wrapped = deqs_since_reset >= cap;
+        int ops = static_cast<int>(rng.below(6)) + 1;
+        for (int i = 0; i < ops; i++) {
+            const bool room =
+                static_cast<int>(model.size()) + reserved < cap;
+            ASSERT_EQ(fifo.canEnq(), room);
+            ASSERT_EQ(fifo.notFull(), room);
+            ASSERT_EQ(fifo.canDeq(), !model.empty());
+            ASSERT_EQ(fifo.size(), model.size());
+            switch (rng.below(8)) {
+              case 0:
+                // Host-set: survives the rollback below.
+                reserved = static_cast<int>(
+                    rng.below(static_cast<std::uint64_t>(cap)));
+                fifo.reserve(reserved);
+                break;
+              case 1:
+                if (rng.chance(0.1)) {
+                    fifo.clear();
+                    model.clear();
+                    deqs_since_reset = 0;
+                }
+                break;
+              case 2:
+              case 3:
+              case 4:
+                if (!model.empty()) {
+                    // first() refers into the fifo's own storage: the
+                    // same object on every call until the deq.
+                    const T &head = fifo.first();
+                    ASSERT_EQ(&head, &fifo.first());
+                    ASSERT_EQ(head, model.front());
+                    fifo.deq();
+                    model.pop_front();
+                    deqs_since_reset++;
+                } else {
+                    EXPECT_THROW({ fifo.first(); }, gen::GuardFail);
+                    EXPECT_THROW(fifo.deq(), gen::GuardFail);
+                }
+                break;
+              default: {
+                const T v = draw();
+                if (room) {
+                    fifo.enq(v);
+                    model.push_back(v);
+                } else {
+                    EXPECT_THROW(fifo.enq(v), gen::GuardFail);
+                }
+                break;
+              }
+            }
+        }
+        if (rng.chance(0.4)) {
+            fifo.rollback(shadow);
+            model = before;
+            deqs_since_reset = 0;
+            if (wrapped)
+                wrapped_rollbacks++;
+        }
+        ASSERT_EQ(fifo.shadow(), model);
+    }
+    EXPECT_GT(wrapped_rollbacks, 0);
+
+    // A snapshot holds at most capacity entries; a larger one is
+    // refused and leaves the fifo as it was.
+    fifo.reserve(-1);  // reads as no reservation
+    EXPECT_EQ(fifo.canEnq(), static_cast<int>(model.size()) < cap);
+    std::deque<T> oversized(static_cast<size_t>(cap) + 1, draw());
+    EXPECT_THROW(fifo.rollback(oversized), gen::GuardFail);
+    EXPECT_EQ(fifo.shadow(), model);
+}
+
+/**
+ * Capacities where the ring is one slot, not a power of two, and
+ * eight slots; 32-bit elements and bool elements (generated code's
+ * type for BCL Bool, which must not end up in std::vector<bool>).
  */
 TEST(GenSupportProperty, FifoRingMatchesDequeModelAcrossWraps)
 {
     for (int cap : {1, 3, 8}) {
         SCOPED_TRACE("capacity " + std::to_string(cap));
         Rng rng(0x517Au + static_cast<std::uint64_t>(cap));
-        gen::Fifo<std::int32_t> fifo{cap};
-        std::deque<std::int32_t> model;
-        int reserved = 0;
-        int deqs_since_reset = 0;  // rollback and clear restart the ring
-        int wrapped_rollbacks = 0;
-
-        for (int iter = 0; iter < 4 * kIterations; iter++) {
-            const auto shadow = fifo.shadow();
-            ASSERT_EQ(shadow, model);
-            const std::deque<std::int32_t> before = model;
-            const bool wrapped = deqs_since_reset >= cap;
-            int ops = static_cast<int>(rng.below(6)) + 1;
-            for (int i = 0; i < ops; i++) {
-                const bool room =
-                    static_cast<int>(model.size()) + reserved < cap;
-                ASSERT_EQ(fifo.canEnq(), room);
-                ASSERT_EQ(fifo.notFull(), room);
-                ASSERT_EQ(fifo.canDeq(), !model.empty());
-                ASSERT_EQ(fifo.size(), model.size());
-                switch (rng.below(8)) {
-                  case 0:
-                    // Host-set: survives the rollback below.
-                    reserved = static_cast<int>(rng.below(
-                        static_cast<std::uint64_t>(cap)));
-                    fifo.reserve(reserved);
-                    break;
-                  case 1:
-                    if (rng.chance(0.1)) {
-                        fifo.clear();
-                        model.clear();
-                        deqs_since_reset = 0;
-                    }
-                    break;
-                  case 2:
-                  case 3:
-                  case 4:
-                    if (!model.empty()) {
-                        ASSERT_EQ(fifo.first(), model.front());
-                        fifo.deq();
-                        model.pop_front();
-                        deqs_since_reset++;
-                    } else {
-                        EXPECT_THROW({ fifo.first(); }, gen::GuardFail);
-                        EXPECT_THROW(fifo.deq(), gen::GuardFail);
-                    }
-                    break;
-                  default: {
-                    auto v = static_cast<std::int32_t>(
-                        rng.range(-1000, 1000));
-                    if (room) {
-                        fifo.enq(v);
-                        model.push_back(v);
-                    } else {
-                        EXPECT_THROW(fifo.enq(v), gen::GuardFail);
-                    }
-                    break;
-                  }
-                }
-            }
-            if (rng.chance(0.4)) {
-                fifo.rollback(shadow);
-                model = before;
-                deqs_since_reset = 0;
-                if (wrapped)
-                    wrapped_rollbacks++;
-            }
-            ASSERT_EQ(fifo.shadow(), model);
-        }
-        EXPECT_GT(wrapped_rollbacks, 0);
-
-        // A snapshot holds at most capacity entries; a larger one is
-        // refused and leaves the fifo as it was.
-        fifo.reserve(-1);  // reads as no reservation
-        EXPECT_EQ(fifo.canEnq(), static_cast<int>(model.size()) < cap);
-        std::deque<std::int32_t> oversized(
-            static_cast<size_t>(cap) + 1, 5);
-        EXPECT_THROW(fifo.rollback(oversized), gen::GuardFail);
-        EXPECT_EQ(fifo.shadow(), model);
+        auto word = [&] {
+            return static_cast<std::int32_t>(rng.range(-1000, 1000));
+        };
+        auto flag = [&] { return rng.chance(0.5); };
+        ASSERT_NO_FATAL_FAILURE(
+            checkRingAgainstDequeModel<std::int32_t>(cap, rng, word));
+        ASSERT_NO_FATAL_FAILURE(
+            checkRingAgainstDequeModel<bool>(cap, rng, flag));
     }
 }
 
