@@ -33,7 +33,6 @@
  * scenario (the partition-autotuner axis: "best partition on WHICH
  * platform").
  */
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -92,17 +91,15 @@ struct BackendCompare
     }
 };
 
-/** Run @p name once for warm-up (which also compiles into the
- *  bench's cache when @p cfg asks for the compiled backend) and once
- *  timed. */
+/** Run @p name once; the wall time is that of the co-simulation run
+ *  alone (RunResult::runMs), so partitioning and the compile cache
+ *  lookup in CoSim construction stay out of it. */
 RunResult
 timedRun(const std::string &name, const WorkloadSize &size,
          const CosimConfig &cfg, BackendPoint &pt)
 {
-    runWorkload(name, size, cfg);
-    auto t0 = std::chrono::steady_clock::now();
     RunResult r = runWorkload(name, size, cfg);
-    pt.wallMs = msSince(t0);
+    pt.wallMs = r.runMs;
     pt.fpgaCycles = r.fpgaCycles;
     pt.hwRuleFires = r.hwRuleFires;
     return r;

@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "common/logging.hpp"
+#include "core/types.hpp"
 
 namespace bcl {
 
@@ -98,6 +99,21 @@ BitSink::put(std::uint64_t raw, int nbits)
     bits_ += static_cast<size_t>(nbits);
 }
 
+void
+BitSink::putWords(const std::uint32_t *words, size_t nbits)
+{
+    size_t full = nbits / 32;
+    if (bits_ % 32 == 0) {
+        words_.insert(words_.end(), words, words + full);
+        bits_ += full * 32;
+    } else {
+        for (size_t i = 0; i < full; i++)
+            put(words[i], 32);
+    }
+    if (int rest = static_cast<int>(nbits % 32))
+        put(words[full], rest);
+}
+
 std::uint64_t
 BitCursor::take(int nbits)
 {
@@ -157,6 +173,46 @@ signExtend(std::uint64_t raw, int width)
 // Value
 // ---------------------------------------------------------------------------
 
+struct Value::AggRep
+{
+    /** The packed form: the marshaled words of a value of `type`,
+     *  unpacked into `vals` at most once. */
+    struct Packed
+    {
+        TypePtr type;
+        std::vector<std::uint32_t> words;
+        std::once_flag unpacked;
+    };
+
+    /** Build `vals` from `packed` (once, whichever thread gets here
+     *  first; the others wait for it). */
+    void unpack();
+
+    // `packed` sits next to `vals`: every element read tests it.
+    std::unique_ptr<Packed> packed;  ///< null for a plain aggregate
+    std::vector<Value> vals;  ///< empty until a packed rep unpacks
+    StructShapePtr shape;     ///< Struct only (null for Vec)
+    int flatWidth = 0;        ///< cached sum of vals' flat widths
+};
+
+void
+Value::AggRep::unpack()
+{
+    std::call_once(packed->unpacked, [this] {
+        BitCursor cursor(packed->words.data(), packed->words.size());
+        Value v = packed->type->unpackWords(cursor);
+        vals = std::move(v.agg_->vals);
+    });
+}
+
+const Value::AggRep &
+Value::rep() const
+{
+    if (agg_->packed) [[unlikely]]
+        agg_->unpack();
+    return *agg_;
+}
+
 Value
 Value::makeBits(int width, std::uint64_t raw)
 {
@@ -180,6 +236,32 @@ Value::makeBool(bool b)
     v.kind_ = ValueKind::Bool;
     v.width_ = 1;
     v.bits_ = b ? 1 : 0;
+    return v;
+}
+
+Value
+Value::makePacked(TypePtr type, std::vector<std::uint32_t> words)
+{
+    if (!type || !(type->isVec() || type->isStruct()))
+        panic("makePacked: needs a Vec or Struct type, got " +
+              (type ? type->str() : std::string("null")));
+    int fw = type->flatWidth();
+    if (words.size() != static_cast<size_t>((fw + 31) / 32)) {
+        panic("makePacked: " + std::to_string(words.size()) +
+              " words for " + type->str() + " (" + std::to_string(fw) +
+              " bits)");
+    }
+    if (fw % 32)
+        words.back() &= (1u << (fw % 32)) - 1;
+    Value v;
+    v.kind_ = type->isVec() ? ValueKind::Vec : ValueKind::Struct;
+    v.agg_ = std::make_shared<AggRep>();
+    v.agg_->flatWidth = fw;
+    if (type->isStruct())
+        v.agg_->shape = type->structShape();
+    v.agg_->packed = std::make_unique<AggRep::Packed>();
+    v.agg_->packed->type = std::move(type);
+    v.agg_->packed->words = std::move(words);
     return v;
 }
 
@@ -270,7 +352,7 @@ Value::elems() const
 {
     if (kind_ != ValueKind::Vec)
         panic("elems() on non-Vec value " + str());
-    return agg_->vals;
+    return rep().vals;
 }
 
 const Value &
@@ -288,7 +370,7 @@ size_t
 Value::size() const
 {
     if (kind_ == ValueKind::Vec || kind_ == ValueKind::Struct)
-        return agg_->vals.size();
+        return rep().vals.size();
     panic("size() on scalar value " + str());
 }
 
@@ -314,9 +396,10 @@ Value::fieldAt(size_t i) const
 {
     if (kind_ != ValueKind::Struct)
         panic("fieldAt() on non-Struct value " + str());
-    if (i >= agg_->vals.size())
+    const AggRep &r = rep();
+    if (i >= r.vals.size())
         panic("field index " + std::to_string(i) + " out of range");
-    return agg_->vals[i];
+    return r.vals[i];
 }
 
 const Value &
@@ -327,7 +410,7 @@ Value::field(const std::string &name) const
     size_t i = agg_->shape->indexOfName(name);
     if (i == StructShape::npos)
         panic("struct has no field '" + name + "': " + str());
-    return agg_->vals[i];
+    return rep().vals[i];
 }
 
 const Value *
@@ -338,14 +421,22 @@ Value::tryFieldById(FieldId id) const
     size_t i = agg_->shape->indexOf(id);
     if (i == StructShape::npos)
         return nullptr;
-    return &agg_->vals[i];
+    return &rep().vals[i];
 }
 
 void
 Value::detachAgg()
 {
-    if (agg_.use_count() != 1)
-        agg_ = std::make_shared<AggRep>(*agg_);
+    const AggRep &r = rep();
+    if (agg_.use_count() == 1) {
+        agg_->packed.reset();
+        return;
+    }
+    auto copy = std::make_shared<AggRep>();
+    copy->vals = r.vals;
+    copy->shape = r.shape;
+    copy->flatWidth = r.flatWidth;
+    agg_ = std::move(copy);
 }
 
 Value
@@ -358,7 +449,7 @@ Value::withElem(size_t i, Value v) const &
 Value
 Value::withElem(size_t i, Value v) &&
 {
-    if (kind_ != ValueKind::Vec || !agg_ || i >= agg_->vals.size())
+    if (kind_ != ValueKind::Vec || !agg_ || i >= rep().vals.size())
         panic("withElem out of range on " + str());
     detachAgg();
     agg_->flatWidth += v.flatWidth() - agg_->vals[i].flatWidth();
@@ -388,7 +479,7 @@ Value
 Value::withFieldAt(size_t i, Value v) &&
 {
     if (kind_ != ValueKind::Struct || !agg_ ||
-        i >= agg_->vals.size())
+        i >= rep().vals.size())
         panic("withFieldAt out of range on " + str());
     detachAgg();
     agg_->flatWidth += v.flatWidth() - agg_->vals[i].flatWidth();
@@ -409,17 +500,25 @@ Value::operator==(const Value &other) const
       case ValueKind::Bool:
         return bits_ == other.bits_;
       case ValueKind::Vec:
+      case ValueKind::Struct: {
         // The pointer check also makes moved-from aggregates (null
         // agg_) safe to compare.
-        return agg_ == other.agg_ ||
-               (agg_ && other.agg_ &&
-                agg_->vals == other.agg_->vals);
-      case ValueKind::Struct:
-        // Shapes are interned: pointer equality iff same field list.
-        return agg_ == other.agg_ ||
-               (agg_ && other.agg_ &&
-                agg_->shape == other.agg_->shape &&
-                agg_->vals == other.agg_->vals);
+        if (agg_ == other.agg_)
+            return true;
+        if (!agg_ || !other.agg_)
+            return false;
+        // Shapes are interned: pointer equality iff same field list
+        // (both null for Vec).
+        if (agg_->shape != other.agg_->shape)
+            return false;
+        // Two packings of one type are equal iff their words are
+        // (makePacked clears the padding bits).
+        const AggRep::Packed *a = agg_->packed.get();
+        const AggRep::Packed *b = other.agg_->packed.get();
+        if (a && b && a->type == b->type)
+            return a->words == b->words;
+        return rep().vals == other.rep().vals;
+      }
     }
     return false;
 }
@@ -438,7 +537,7 @@ Value::str() const
         if (!agg_)
             return "<moved-from Vec>";
         std::string out = "[";
-        const auto &es = agg_->vals;
+        const auto &es = rep().vals;
         for (size_t i = 0; i < es.size(); i++) {
             if (i)
                 out += ", ";
@@ -450,7 +549,7 @@ Value::str() const
         if (!agg_)
             return "<moved-from Struct>";
         std::string out = "{";
-        const auto &es = agg_->vals;
+        const auto &es = rep().vals;
         for (size_t i = 0; i < es.size(); i++) {
             if (i)
                 out += ", ";
@@ -476,6 +575,11 @@ Value::packWords(BitSink &sink) const
         return;
       case ValueKind::Vec:
       case ValueKind::Struct:
+        if (const AggRep::Packed *p = agg_->packed.get()) {
+            sink.putWords(p->words.data(),
+                          static_cast<size_t>(agg_->flatWidth));
+            return;
+        }
         for (const Value &e : agg_->vals)
             e.packWords(sink);
         return;
@@ -497,6 +601,14 @@ Value::flatWidth() const
         return agg_->flatWidth;
     }
     return 0;
+}
+
+const std::vector<std::uint32_t> *
+Value::packedWords() const
+{
+    if (agg_ && agg_->packed)
+        return &agg_->packed->words;
+    return nullptr;
 }
 
 } // namespace bcl

@@ -13,6 +13,21 @@
  * (withElem / withField) clones it. Snapshots are therefore O(1) and
  * the clone is shallow — element Values are themselves shared.
  *
+ * Packed aggregates: a Vec or Struct may instead hold its marshaled
+ * words plus its static Type (makePacked) — the form a message already
+ * has on the compiled side of the gencc ABI. kind(), shape(),
+ * fieldName() and flatWidth() are answered from the type; packWords()
+ * appends the words as they are, so a message popped from one
+ * compiled partition and pushed into another is never rebuilt as a
+ * tree. Every other read (elems / at / size / fieldAt / field /
+ * tryFieldById / str / == / withElem / withField) first builds the
+ * elements with Type::unpackWords, once: copies share the payload, so
+ * the unpack runs under std::call_once and any number of threads may
+ * read one shared packed value at once. A functional update unpacks,
+ * then detaches (or, when uniquely owned, drops the words), so it
+ * never writes a payload another copy can see. A plain aggregate pays
+ * one null-pointer test per access for all of this.
+ *
  * Struct field names are interned process-wide: every distinct field
  * list maps to one shared StructShape, so shape comparison is pointer
  * comparison and field lookup compares integer FieldIds, never
@@ -21,9 +36,11 @@
  *
  * Contract: a Value does not know its static Type — shape agreement
  * is the typechecker's job, and primitives/interpreter may assume it.
- * Bit-level packing here (word-wise via BitSink/BitCursor) is the
- * canonical flattening that platform/marshal.hpp exposes; tests
- * round-trip every value shape through it.
+ * The one exception is a packed aggregate, which keeps the Type its
+ * words were marshaled from so it can unpack them later. Bit-level
+ * packing here (word-wise via BitSink/BitCursor) is the canonical
+ * flattening that platform/marshal.hpp exposes; tests round-trip
+ * every value shape through it.
  */
 #ifndef BCL_CORE_VALUE_HPP
 #define BCL_CORE_VALUE_HPP
@@ -35,6 +52,9 @@
 #include <vector>
 
 namespace bcl {
+
+class Type;
+using TypePtr = std::shared_ptr<const Type>;
 
 /** Interned identity of a struct field name (process-wide table). */
 using FieldId = std::uint32_t;
@@ -93,6 +113,10 @@ class BitSink
   public:
     /** Append the low @p nbits of @p raw (nbits in [1,64]). */
     void put(std::uint64_t raw, int nbits);
+
+    /** Append the first @p nbits of the stream in @p words (a whole
+     *  word copy when this sink is word-aligned). */
+    void putWords(const std::uint32_t *words, size_t nbits);
 
     /** Total bits appended so far. */
     size_t bitCount() const { return bits_; }
@@ -161,6 +185,11 @@ class Value
      *  order (the interpreter's MakeStruct and Type::unpackWords). */
     static Value makeStructShaped(StructShapePtr shape,
                                   std::vector<Value> vals);
+    /** A Vec or Struct of @p type held as its marshaled @p words
+     *  (exactly ceil(flatWidth/32) of them; padding bits past the
+     *  flat width are cleared). See the file comment. */
+    static Value makePacked(TypePtr type,
+                            std::vector<std::uint32_t> words);
     /// @}
 
     ValueKind kind() const { return kind_; }
@@ -236,16 +265,20 @@ class Value
     /** Total number of flattened bits. O(1), cached for aggregates. */
     int flatWidth() const;
 
-  private:
-    /** Shared aggregate payload (Vec elements / Struct fields). */
-    struct AggRep
-    {
-        std::vector<Value> vals;
-        StructShapePtr shape;  ///< Struct only (null for Vec)
-        int flatWidth = 0;     ///< cached sum of vals' flat widths
-    };
+    /** The marshaled words of a packed aggregate, as packWords would
+     *  emit them; nullptr for every other value. */
+    const std::vector<std::uint32_t> *packedWords() const;
 
-    /** Clone agg_ unless uniquely owned (the COW barrier). */
+  private:
+    /** Shared aggregate payload (Vec elements / Struct fields, or
+     *  the packed form); defined in value.cpp. */
+    struct AggRep;
+
+    /** The payload with its elements built (unpacks a packed one). */
+    const AggRep &rep() const;
+
+    /** Unpack, then clone agg_ unless uniquely owned (the COW
+     *  barrier); afterwards agg_ is a plain aggregate. */
     void detachAgg();
 
     ValueKind kind_ = ValueKind::Invalid;

@@ -15,6 +15,11 @@
  * Messages cross the ABI as canonical marshaled words via the wrapped
  * CompiledPartition (pushPrim/popPrim/popDevice), and the instance
  * inherits its thread-confinement contract — see runtime/gencc.hpp.
+ * An aggregate message popped into the mirror stays in that word form
+ * (a packed Value, core/value.hpp) until a reader needs its elements,
+ * so one crossing from compiled domain to compiled domain is a word
+ * copy out of one instance and into the next, with no Value tree
+ * built in between; an interpreted consumer unpacks it on first read.
  *
  * Cycle-exactness across the ABI. With the interpreted backend a
  * sync fifo is ONE queue that both the transport and the rules touch,

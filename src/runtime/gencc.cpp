@@ -539,11 +539,18 @@ bool
 CompiledPartition::pushPrim(int prim_id, const Value &v)
 {
     checkThread("pushPrim");
-    BitSink sink;
-    v.packWords(sink);
-    std::vector<std::uint32_t> words = sink.takeWords();
-    int rc = artifact_->fnPush_(inst_, prim_id, words.data(),
-                                static_cast<int>(words.size()));
+    // A message popped packed from another compiled partition goes
+    // back in as the same words; anything else is marshaled here.
+    std::vector<std::uint32_t> marshaled;
+    const std::vector<std::uint32_t> *words = v.packedWords();
+    if (!words) {
+        BitSink sink;
+        v.packWords(sink);
+        marshaled = sink.takeWords();
+        words = &marshaled;
+    }
+    int rc = artifact_->fnPush_(inst_, prim_id, words->data(),
+                                static_cast<int>(words->size()));
     if (rc < 0) {
         panic("gencc: prim_push(" + std::to_string(prim_id) +
               ") rejected with " + std::to_string(rc) +
@@ -571,6 +578,13 @@ CompiledPartition::popValue(int prim_id, const TypePtr &type,
     ok = rc == 1;
     if (!ok)
         return Value();
+    // Aggregates stay marshaled until something reads them (see
+    // core/value.hpp); a pushPrim into the next compiled partition
+    // never unpacks them.
+    if (type->isVec() || type->isStruct()) {
+        words.resize(static_cast<size_t>(nwords));
+        return Value::makePacked(type, std::move(words));
+    }
     BitCursor cursor(words.data(), static_cast<size_t>(nwords));
     return type->unpackWords(cursor);
 }

@@ -265,19 +265,27 @@ class CompiledPartition
 
     /**
      * Enqueue @p v into FIFO-kind primitive @p prim_id (Fifo / Sync /
-     * SyncTx / SyncRx) — the harness side of a channel delivery.
+     * SyncTx / SyncRx) — the harness side of a channel delivery. A
+     * packed @p v (Value::packedWords) is handed over as its words;
+     * any other value is marshaled with packWords first.
      * @return false when the FIFO is full.
      */
     bool pushPrim(int prim_id, const Value &v);
 
     /**
      * Dequeue the head of FIFO-kind primitive @p prim_id into @p out
-     * — the harness side of a channel pickup.
+     * — the harness side of a channel pickup. A Vec or Struct message
+     * comes back packed (Value::makePacked over the popped words and
+     * the primitive's type): it reads like any other value and is
+     * unpacked on its first element read, so a message that only
+     * travels on to another compiled partition's pushPrim is never
+     * demarshaled. Scalars are unpacked here.
      * @return false when empty.
      */
     bool popPrim(int prim_id, Value &out);
 
-    /** Drain one output of device primitive @p prim_id (AudioDev).
+    /** Drain one output of device primitive @p prim_id (AudioDev),
+     *  under popPrim's packed-aggregate contract.
      *  @return false when no undrained output remains. */
     bool popDevice(int prim_id, Value &out);
 

@@ -1,6 +1,7 @@
 #include "workloads/workload.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/strutil.hpp"
 #include "core/domains.hpp"
@@ -37,9 +38,13 @@ runWorkload(const Workload &w, const StageDomains &domains,
         cosim.setDriver(spec.swDomain, spec.driver);
 
     RunResult res;
+    auto t0 = std::chrono::steady_clock::now();
     res.fpgaCycles = cosim.run([&](CoSim &cs) {
         return spec.progress(cs) >= spec.target;
     });
+    res.runMs = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
     res.output = w.output(cosim, parts);
     res.domains = static_cast<int>(parts.parts.size());
     const ExecStats &sw = cosim.swInterp(spec.swDomain).stats();

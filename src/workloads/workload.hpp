@@ -106,6 +106,7 @@ class Workload
 struct RunResult
 {
     std::uint64_t fpgaCycles = 0;        ///< end-to-end virtual time
+    double runMs = 0;                    ///< host wall time of CoSim::run
     std::vector<std::uint32_t> output;   ///< Workload::output words
     int domains = 0;                     ///< partitions the run used
     std::uint64_t swWork = 0;            ///< software work units

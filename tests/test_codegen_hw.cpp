@@ -10,8 +10,11 @@
  * contract here is cycle-exact.
  *
  * Also covers the ClockSim::run()/stepCycles() trailing-idle-probe
- * accounting both backends share, and the end-to-end co-simulation
- * equivalence on the full-hardware Vorbis and ray-tracer partitions.
+ * accounting both backends share, the end-to-end co-simulation
+ * equivalence on the full-hardware Vorbis and ray-tracer partitions,
+ * and packed messages (aggregates a compiled partition hands over as
+ * marshaled words) read element by element by an interpreted
+ * consumer.
  *
  * Every compiled test auto-skips when no host C++ compiler is
  * available.
@@ -21,6 +24,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -658,6 +662,88 @@ TEST(CodegenHw, RayFullHwCosimMatchesInterpreted)
     EXPECT_EQ(got.hwRuleFires, ref.hwRuleFires);
     EXPECT_EQ(got.fpgaCycles, ref.fpgaCycles);
     EXPECT_EQ(got.messages, ref.messages);
+}
+
+// ---------------------------------------------------------------------------
+// Packed messages into interpreted consumers: a Vec popped from a
+// compiled partition stays marshaled (core/value.hpp) until the
+// interpreter indexes it. The runs below route one into each
+// interpreted side and must reproduce the all-interpreted run:
+// outputs, modeled software work, per-channel traffic and every
+// hardware rule's firing count.
+//   vorbis_B, compiled HW: s2 carries Vector#(16, Complex) from the
+//     compiled IFFT to interpreted SW, whose postGather rule reads it
+//     one element at a time (idx + Update).
+//   vorbis_D, compiled SW: s0 carries the 32-sample frame from
+//     compiled SW to ClockSim, whose preTwiddle rule reads each
+//     sample.
+// ---------------------------------------------------------------------------
+
+struct DetailedRun
+{
+    std::vector<std::uint32_t> output;
+    ExecStats sw;
+    std::uint64_t swRulesFired = 0;
+    std::map<std::string, std::vector<std::uint64_t>> hwPerRuleFires;
+    std::vector<std::pair<std::string, std::uint64_t>> channelMessages;
+};
+
+DetailedRun
+runDetailed(const std::string &name, const CosimConfig &cfg)
+{
+    const WorkloadSize size{.frames = 2};
+    const NamedWorkload &nw = findWorkload(name);
+    const Workload &w = *nw.workload;
+    PartitionResult parts = partitionWorkload(w, nw.partition->domains,
+                                              size, w.defaultSeed);
+    CoSim cosim(parts, cfg);
+    StreamSpec spec = w.stream(parts, size, w.defaultSeed);
+    if (spec.driver.step)
+        cosim.setDriver(spec.swDomain, spec.driver);
+    cosim.run([&](CoSim &cs) { return spec.progress(cs) >= spec.target; });
+
+    DetailedRun r;
+    r.output = w.output(cosim, parts);
+    r.sw = cosim.swInterp(spec.swDomain).stats();
+    r.swRulesFired = r.sw.rulesFired;
+    if (const CompiledPartition *cp = cosim.swCompiled(spec.swDomain))
+        r.swRulesFired = cp->rulesFired();
+    for (const PartitionPart &part : parts.parts) {
+        if (const HwStats *hw = cosim.hwStats(part.domain))
+            r.hwPerRuleFires[part.domain] = hw->perRuleFires;
+    }
+    for (const auto &chan : cosim.channels())
+        r.channelMessages.emplace_back(chan->spec().name,
+                                       chan->stats().messages);
+    return r;
+}
+
+TEST(CodegenHw, PackedMessagesReadByInterpretedConsumersMatch)
+{
+    REQUIRE_HOST_COMPILER();
+    for (const char *name : {"vorbis_B", "vorbis_D"}) {
+        DetailedRun ref = runDetailed(name, {});
+        ASSERT_FALSE(ref.output.empty()) << name;
+        CosimConfig cfg;
+        if (std::string(name) == "vorbis_B")
+            cfg.hwBackend = HwBackend::Compiled;
+        else
+            cfg.swBackend = SwBackend::Compiled;
+        DetailedRun got = runDetailed(name, cfg);
+
+        EXPECT_EQ(got.output, ref.output) << name;
+        EXPECT_EQ(got.swRulesFired, ref.swRulesFired) << name;
+        EXPECT_EQ(got.hwPerRuleFires, ref.hwPerRuleFires) << name;
+        EXPECT_EQ(got.channelMessages, ref.channelMessages) << name;
+        if (cfg.swBackend == SwBackend::Interpreted) {
+            // The consumer is the interpreter itself: its modeled
+            // counts must not see the packed form.
+            EXPECT_EQ(got.sw.work, ref.sw.work) << name;
+            EXPECT_EQ(got.sw.rulesAttempted, ref.sw.rulesAttempted)
+                << name;
+            EXPECT_EQ(got.sw.shadowCopies, ref.sw.shadowCopies) << name;
+        }
+    }
 }
 
 } // namespace

@@ -2,11 +2,14 @@
  * @file
  * Unit tests for runtime values and static types: construction,
  * signed/unsigned views, structural equality, functional update,
- * bit-level pack/unpack round trips (the marshaling substrate).
+ * bit-level pack/unpack round trips (the marshaling substrate), and
+ * the packed aggregate form (Value::makePacked) against built values.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
+#include <thread>
 
 #include "common/logging.hpp"
 #include "core/types.hpp"
@@ -272,6 +275,199 @@ TEST(Value, FlatWidthStaysConsistentAcrossUpdates)
                               {"im", Value::makeInt(32, 2)}}));
     EXPECT_EQ(w.flatWidth(), 4 * 64);
     EXPECT_EQ(v.flatWidth(), 4 * 64);
+}
+
+// ---------------------------------------------------------------------------
+// Packed aggregates (Value::makePacked): the marshaled-words form a
+// message keeps between compiled partitions.
+// ---------------------------------------------------------------------------
+
+TypePtr
+complexType()
+{
+    return Type::record(
+        "Complex", {{"re", Type::bits(32)}, {"im", Type::bits(32)}});
+}
+
+Value
+complexValue(std::int64_t re, std::int64_t im)
+{
+    return Value::makeStruct({{"re", Value::makeInt(32, re)},
+                              {"im", Value::makeInt(32, im)}});
+}
+
+std::vector<std::uint32_t>
+wordsOf(const Value &v)
+{
+    BitSink sink;
+    v.packWords(sink);
+    return sink.takeWords();
+}
+
+TEST(PackedValue, EqualsBuiltValueInBothOrders)
+{
+    TypePtr t = Type::vec(3, complexType());
+    Value built = Value::makeVec({complexValue(-5, 99),
+                                  complexValue(1 << 20, -(1 << 30)),
+                                  complexValue(0, -1)});
+    Value packed = Value::makePacked(t, wordsOf(built));
+    // Answered from the type, without unpacking.
+    EXPECT_TRUE(packed.isVec());
+    EXPECT_EQ(packed.flatWidth(), built.flatWidth());
+    ASSERT_NE(packed.packedWords(), nullptr);
+    EXPECT_EQ(*packed.packedWords(), wordsOf(built));
+    EXPECT_EQ(built.packedWords(), nullptr);
+
+    EXPECT_TRUE(packed == built);
+    EXPECT_TRUE(built == packed);
+    EXPECT_EQ(packed.str(), built.str());
+    EXPECT_EQ(packed.size(), 3u);
+    EXPECT_EQ(packed.at(1).fieldAt(1).asInt(), -(1 << 30));
+    EXPECT_EQ(packed.at(2).field("im").asInt(), -1);
+    EXPECT_NE(packed, Value::makePacked(t, wordsOf(built.withElem(
+                          0, complexValue(-5, 98)))));
+
+    Value s = complexValue(7, -8);
+    Value ps = Value::makePacked(complexType(), wordsOf(s));
+    EXPECT_TRUE(ps.isStruct());
+    EXPECT_EQ(ps.shape(), s.shape());
+    EXPECT_EQ(ps.fieldName(1), "im");
+    EXPECT_EQ(ps, s);
+    EXPECT_EQ(s, ps);
+    EXPECT_EQ(ps.size(), 2u);
+    EXPECT_EQ(ps.fieldAt(0).asInt(), 7);
+    EXPECT_EQ(ps.tryFieldById(internFieldName("im"))->asInt(), -8);
+    EXPECT_EQ(ps.str(), s.str());
+}
+
+TEST(PackedValue, UpdateOnCopyUnpacksAndDetaches)
+{
+    TypePtr t = Type::vec(2, Type::bits(8));
+    Value packed = Value::makePacked(t, {0x0201u});
+    Value copy = packed;
+    Value w = copy.withElem(0, Value::makeBits(8, 7));
+    EXPECT_EQ(w.at(0).asUInt(), 7u);
+    EXPECT_EQ(w.at(1).asUInt(), 2u);
+    EXPECT_EQ(w.packedWords(), nullptr);
+    // The original and the copy keep reading the old contents, still
+    // packed.
+    EXPECT_EQ(packed.at(0).asUInt(), 1u);
+    EXPECT_EQ(copy.at(0).asUInt(), 1u);
+    ASSERT_NE(packed.packedWords(), nullptr);
+    EXPECT_EQ(wordsOf(packed), std::vector<std::uint32_t>{0x0201u});
+    EXPECT_EQ(wordsOf(w), std::vector<std::uint32_t>{0x0207u});
+
+    // Uniquely owned: updated in place, and the stale words dropped.
+    Value q = Value::makePacked(complexType(), {5u, 6u});
+    Value r = std::move(q).withFieldAt(1, Value::makeInt(32, -1));
+    EXPECT_EQ(r.packedWords(), nullptr);
+    EXPECT_EQ(r, complexValue(5, -1));
+    EXPECT_EQ(wordsOf(r), (std::vector<std::uint32_t>{5u, 0xffffffffu}));
+}
+
+TEST(PackedValue, OddWidthsRoundTripAndIgnorePadding)
+{
+    TypePtr v3 = Type::vec(3, Type::bits(5));  // 15 bits
+    TypePtr bb = Type::record(
+        "", {{"b", Type::boolean()}, {"x", Type::bits(33)}});  // 34 bits
+    Value vb = Value::makeVec({Value::makeBits(5, 31),
+                               Value::makeBits(5, 0),
+                               Value::makeBits(5, 21)});
+    Value sb = Value::makeStruct(
+        {{"b", Value::makeBool(true)},
+         {"x", Value::makeBits(33, 0x1'8000'0001ull)}});
+    for (const auto &[type, built] :
+         {std::pair{v3, vb}, std::pair{bb, sb}}) {
+        std::vector<std::uint32_t> clean = wordsOf(built);
+        ASSERT_EQ(clean.size(),
+                  static_cast<size_t>((type->flatWidth() + 31) / 32));
+        std::vector<std::uint32_t> dirty = clean;
+        dirty.back() |= ~0u << (type->flatWidth() % 32);
+        Value a = Value::makePacked(type, clean);
+        Value b = Value::makePacked(type, dirty);
+        EXPECT_EQ(a, b) << type->str();
+        EXPECT_EQ(b, built) << type->str();
+        EXPECT_EQ(built, b) << type->str();
+        EXPECT_EQ(*b.packedWords(), clean) << type->str();
+        EXPECT_EQ(wordsOf(b), clean) << type->str();
+        BitSink sink;
+        b.packWords(sink);
+        EXPECT_EQ(sink.bitCount(),
+                  static_cast<size_t>(type->flatWidth()));
+        BitCursor cur(clean.data(), clean.size());
+        EXPECT_EQ(type->unpackWords(cur), b) << type->str();
+    }
+    EXPECT_THROW(Value::makePacked(v3, {0u, 0u}), PanicError);
+    EXPECT_THROW(Value::makePacked(Type::bits(8), {0u}), PanicError);
+}
+
+TEST(PackedValue, NestedPackedValuePacksAtUnalignedOffsets)
+{
+    TypePtr v3 = Type::vec(3, Type::bits(5));
+    TypePtr bb = Type::record(
+        "", {{"b", Type::boolean()}, {"x", Type::bits(33)}});
+    Value vb = Value::makeVec({Value::makeBits(5, 17),
+                               Value::makeBits(5, 9),
+                               Value::makeBits(5, 30)});
+    Value sb = Value::makeStruct(
+        {{"b", Value::makeBool(true)},
+         {"x", Value::makeBits(33, 0x1'dead'beefull)}});
+    Value pv = Value::makePacked(v3, wordsOf(vb));
+    Value ps = Value::makePacked(bb, wordsOf(sb));
+    // 15-bit and 34-bit packed elements behind a 3-bit scalar: every
+    // packed element starts off a word boundary.
+    Value nested = Value::makeVec({Value::makeBits(3, 5), pv, ps, pv, ps});
+    Value built = Value::makeVec({Value::makeBits(3, 5), vb, sb, vb, sb});
+    EXPECT_EQ(nested.flatWidth(), 3 + 2 * (15 + 34));
+    EXPECT_EQ(wordsOf(nested), wordsOf(built));
+    EXPECT_EQ(nested, built);
+
+    TypePtr outer = Type::vec(4, bb);
+    Value po = Value::makePacked(outer, wordsOf(Value::makeVec(
+                                            {ps, sb, ps, sb})));
+    EXPECT_EQ(po.at(3).field("x").asUInt(), 0x1'dead'beefull);
+    EXPECT_EQ(wordsOf(Value::makeVec({Value::makeBool(false), po})),
+              wordsOf(Value::makeVec({Value::makeBool(false),
+                                      Value::makeVec({sb, sb, sb, sb})})));
+}
+
+TEST(PackedValue, ConcurrentReadersShareOneUnpack)
+{
+    TypePtr t = Type::vec(16, complexType());
+    std::vector<Value> elems;
+    for (int i = 0; i < 16; i++)
+        elems.push_back(complexValue(i, -i));
+    Value built = Value::makeVec(elems);
+    const Value shared = Value::makePacked(t, wordsOf(built));
+    // Each reader gets its own copy of the payload's owner up front,
+    // then all start together: no reference-count traffic orders one
+    // reader's unpack before another's read, so only the unpack's own
+    // synchronization keeps them apart (a race TSan reports).
+    std::vector<Value> copies(4, shared);
+    std::atomic<int> arrived{0};
+    std::vector<std::string> seen(4);
+    std::vector<std::int64_t> sums(4, 0);
+    std::vector<std::thread> readers;
+    for (int k = 0; k < 4; k++) {
+        readers.emplace_back([&, k] {
+            arrived.fetch_add(1);
+            while (arrived.load() < 4)
+                std::this_thread::yield();
+            const Value &mine = copies[static_cast<size_t>(k)];
+            std::int64_t sum = 0;
+            for (size_t i = 0; i < mine.size(); i++)
+                sum += mine.at(i).field("re").asInt() -
+                       shared.at(i).fieldAt(1).asInt();
+            sums[k] = sum;
+            seen[k] = (mine == built ? "" : "mismatch ") + mine.str();
+        });
+    }
+    for (std::thread &r : readers)
+        r.join();
+    for (int k = 0; k < 4; k++) {
+        EXPECT_EQ(sums[k], 2 * (15 * 16 / 2)) << "reader " << k;
+        EXPECT_EQ(seen[k], built.str()) << "reader " << k;
+    }
 }
 
 } // namespace
