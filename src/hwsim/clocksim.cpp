@@ -52,6 +52,20 @@ ClockedPartition::step(std::uint64_t budget)
         r.consumed = stepCycles(budget, r.fired);
     }
     r.cycles = static_cast<double>(r.consumed);
+    stepFired = r.fired;
+    return r;
+}
+
+ExecStep
+ClockedPartition::settledStep()
+{
+    if (perCycle)
+        stats_.cycles++;
+    lastFired = 0;
+    stepFired = 0;
+    ExecStep r;
+    r.consumed = 1;
+    r.cycles = 1;
     return r;
 }
 

@@ -81,14 +81,24 @@ class ClockedPartition : public DomainExecutor
     ExecStep step(std::uint64_t budget) override;
     void pacePerCycle(bool on) { perCycle = on; }
 
+    /** The idle cycle without its edge: counted into stats().cycles
+     *  when paced per cycle, as cycle() counts it; never counted in
+     *  bursts, where it would be the leading, uncounted idle probe. */
+    ExecStep settledStep() override;
+
   protected:
     /** Fire one edge's rule set. @return rules fired. */
     virtual int clockEdge() = 0;
+
+    /** Rules fired by the whole last step(); unlike idle(), this sees
+     *  a burst's firings, since a burst always ends on an idle cycle. */
+    std::uint64_t lastStepFired() const { return stepFired; }
 
     mutable HwStats stats_;  ///< compiled: perRuleFires read lazily
 
   private:
     int lastFired = 1;  // assume work on first cycle
+    std::uint64_t stepFired = 1;
     bool perCycle = false;
 };
 

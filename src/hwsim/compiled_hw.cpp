@@ -96,6 +96,9 @@ CompiledHwPartition::exchangeIn(Store &mirror)
 bool
 CompiledHwPartition::exchangeOut(Store &mirror)
 {
+    // No rule fired: the fifos are as exchangeIn left them.
+    if (lastStepFired() == 0)
+        return false;
     bool moved = false;
     Value v;
     for (size_t i = 0; i < prims_.rx.size(); i++) {

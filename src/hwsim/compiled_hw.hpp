@@ -48,6 +48,9 @@
  *   exchangeIn sets the fifo's reserved-slot count to the mirror
  *   backlog (bcl_gen_prim_size again), only when the backlog changed.
  *
+ *   A step that fired no rule (over the whole burst) left every fifo
+ *   as exchangeIn left it, so exchangeOut returns without a call.
+ *
  * This relies on the same contract the interpreter enforces
  * dynamically: rules never enqueue into a SyncRx, never dequeue from
  * a SyncTx, and never clear a sync fifo.

@@ -29,6 +29,33 @@ findProc(Procs &procs, const std::string &domain) -> decltype(&procs[0])
     return nullptr;
 }
 
+void
+pumpAll(const std::vector<ChannelTransport *> &chans, std::uint64_t time)
+{
+    for (ChannelTransport *t : chans)
+        t->pump(time);
+}
+
+bool
+deliverAll(const std::vector<ChannelTransport *> &chans,
+           std::uint64_t time)
+{
+    bool any = false;
+    for (ChannelTransport *t : chans)
+        any |= t->deliver(time);
+    return any;
+}
+
+/** Messages picked up so far from a domain's outgoing channels. */
+std::uint64_t
+pickups(const std::vector<ChannelTransport *> &out)
+{
+    std::uint64_t n = 0;
+    for (const ChannelTransport *t : out)
+        n += t->stats().messages;
+    return n;
+}
+
 } // namespace
 
 CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
@@ -78,7 +105,19 @@ CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
             chan, storeOf(chan.fromDomain), storeOf(chan.toDomain),
             *it->second,
             cfg.platform.resolveLink(chan.fromDomain, chan.toDomain)));
+        channelsOf(chan.fromDomain).out.push_back(transports.back().get());
+        channelsOf(chan.toDomain).in.push_back(transports.back().get());
     }
+}
+
+CoSim::Channels &
+CoSim::channelsOf(const std::string &domain)
+{
+    if (SwProc *p = findProc(swProcs, domain))
+        return p->chans;
+    if (HwProc *p = findProc(hwProcs, domain))
+        return p->chans;
+    panic("channelsOf: no domain '" + domain + "'");
 }
 
 void
@@ -172,6 +211,8 @@ CoSim::snapshotMetrics(obs::MetricsRegistry &reg) const
     for (const auto &p : hwProcs) {
         reg.gauge("cosim.domain." + p.domain + ".cycles")
             .set(static_cast<double>(p.time));
+        reg.gauge("cosim.domain." + p.domain + ".settled_cycles")
+            .set(static_cast<double>(p.settledCycles));
     }
     for (const auto &t : transports) {
         snapshotChannelStats(reg,
@@ -204,43 +245,12 @@ CoSim::linkUsage() const
     return out;
 }
 
-void
-CoSim::pumpFrom(const std::string &domain, std::uint64_t time)
-{
-    for (auto &t : transports) {
-        if (t->spec().fromDomain == domain)
-            t->pump(time);
-    }
-}
-
-bool
-CoSim::deliverTo(const std::string &domain, std::uint64_t time)
-{
-    bool any = false;
-    for (auto &t : transports) {
-        if (t->spec().toDomain == domain)
-            any |= t->deliver(time);
-    }
-    return any;
-}
-
 std::uint64_t
 CoSim::nextChannelEvent() const
 {
     std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
     for (const auto &t : transports)
         next = std::min(next, t->nextEventAt());
-    return next;
-}
-
-std::uint64_t
-CoSim::nextDeliveryTo(const std::string &domain) const
-{
-    std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
-    for (const auto &t : transports) {
-        if (t->spec().toDomain == domain)
-            next = std::min(next, t->nextEventAt());
-    }
     return next;
 }
 
@@ -273,9 +283,9 @@ CoSim::sliceSoftware(SwProc &sw)
         // Pump on every step: a transfer deferred for credits must
         // start as soon as the consumer drains, even if no further
         // producer-side rule fires.
-        pumpFrom(sw.domain, static_cast<std::uint64_t>(sw.time));
-        if (deliverTo(sw.domain,
-                      static_cast<std::uint64_t>(sw.time))) {
+        pumpAll(sw.chans.out, static_cast<std::uint64_t>(sw.time));
+        if (deliverAll(sw.chans.in,
+                       static_cast<std::uint64_t>(sw.time))) {
             ex.poke();
             sw.driverBlocked = false;
         }
@@ -288,7 +298,7 @@ CoSim::sliceSoftware(SwProc &sw)
         if (r.fired > 0)
             progress = true;
         if (produced)
-            pumpFrom(sw.domain, static_cast<std::uint64_t>(sw.time));
+            pumpAll(sw.chans.out, static_cast<std::uint64_t>(sw.time));
         if (fed || !ex.idle())
             continue;
         // Quiescent: one driver attempt, then yield the slice.
@@ -302,7 +312,8 @@ CoSim::sliceSoftware(SwProc &sw)
 }
 
 /** One hardware slice: each step offers the rest of the horizon,
- *  which in-process executors take one cycle at a time. */
+ *  which in-process executors take one cycle at a time. A settled
+ *  domain's cycle is accounted without running it (HwProc::settled). */
 bool
 CoSim::sliceHardware(HwProc &hw, std::uint64_t horizon)
 {
@@ -310,24 +321,38 @@ CoSim::sliceHardware(HwProc &hw, std::uint64_t horizon)
     bool progress = false;
     bool active = true;
     while (hw.time < horizon || active) {
-        pumpFrom(hw.domain, hw.time);
-        if (deliverTo(hw.domain, hw.time))
+        pumpAll(hw.chans.out, hw.time);
+        if (deliverAll(hw.chans.in, hw.time)) {
             progress = true;
-        ex.exchangeIn(*hw.store);
-        ExecStep r = ex.step(horizon > hw.time ? horizon - hw.time : 1);
-        ex.exchangeOut(*hw.store);
+            hw.settled = false;
+        }
+        if (hw.settled && pickups(hw.chans.out) != hw.pickups)
+            hw.settled = false;
+        ExecStep r;
+        if (hw.settled) {
+            r = ex.settledStep();
+            hw.settledCycles++;
+        } else {
+            ex.exchangeIn(*hw.store);
+            r = ex.step(horizon > hw.time ? horizon - hw.time : 1);
+            ex.exchangeOut(*hw.store);
+            hw.settled = r.fired == 0;
+            hw.pickups = pickups(hw.chans.out);
+        }
         hw.time += r.consumed;
         active = !ex.idle();
         if (r.fired > 0) {
             progress = true;
-            pumpFrom(hw.domain, hw.time);
+            pumpAll(hw.chans.out, hw.time);
             continue;
         }
         if (hw.time >= horizon)
             break;
         // Idle inside the horizon: jump to the next delivery
         // addressed to us (or stop).
-        std::uint64_t next = nextDeliveryTo(hw.domain);
+        std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
+        for (const ChannelTransport *t : hw.chans.in)
+            next = std::min(next, t->nextEventAt());
         if (next == std::numeric_limits<std::uint64_t>::max() ||
             next >= horizon) {
             break;
@@ -369,6 +394,9 @@ CoSim::advancePast(std::uint64_t next)
 std::uint64_t
 CoSim::run(const std::function<bool(CoSim &)> &done)
 {
+    // The caller may have changed any store since the last run.
+    for (auto &hw : hwProcs)
+        hw.settled = false;
     while (!done(*this)) {
         if (now() > kMaxFpgaCycles)
             fatal("co-simulation exceeded kMaxFpgaCycles");
@@ -398,9 +426,9 @@ CoSim::run(const std::function<bool(CoSim &)> &done)
         if (next != std::numeric_limits<std::uint64_t>::max()) {
             advancePast(next);
             for (auto &sw : swProcs)
-                pumpFrom(sw.domain, static_cast<std::uint64_t>(sw.time));
+                pumpAll(sw.chans.out, static_cast<std::uint64_t>(sw.time));
             for (auto &hw : hwProcs)
-                pumpFrom(hw.domain, hw.time);
+                pumpAll(hw.chans.out, hw.time);
             continue;
         }
 

@@ -259,7 +259,8 @@ class CoSim
     void setDriver(const std::string &domain, SwDriver driver);
 
     /**
-     * Run until @p done returns true.
+     * Run until @p done returns true. @p done may read the stores
+     * but not change them; a caller may change them between runs.
      * @return total virtual FPGA cycles elapsed.
      * @throws FatalError on deadlock (no process can advance, channel
      * queues empty, done() still false).
@@ -327,13 +328,22 @@ class CoSim
     /**
      * Publish this cosim's state under the stable metric names
      * (cosim.fpga_cycles, cosim.sw_work, cosim.domain.<d>.cycles,
-     * cosim.channel.<c>.*). The internal structs stay the source of
-     * truth; call while quiesced (after run()) — set() semantics, so
-     * the registry reflects THIS cosim afterwards.
+     * cosim.domain.<d>.settled_cycles, cosim.channel.<c>.*). The
+     * internal structs stay the source of truth; call while quiesced
+     * (after run()) — set() semantics, so the registry reflects THIS
+     * cosim afterwards.
      */
     void snapshotMetrics(obs::MetricsRegistry &reg) const;
 
   private:
+    /** The channels a domain's slices pump and deliver, in channel
+     *  order, resolved once at construction. */
+    struct Channels
+    {
+        std::vector<ChannelTransport *> out;  ///< from this domain
+        std::vector<ChannelTransport *> in;   ///< to this domain
+    };
+
     struct SwProc
     {
         std::string domain;
@@ -346,6 +356,7 @@ class CoSim
         SwDriver driver;
         double time = 0;  ///< local virtual time, FPGA cycles
         bool driverBlocked = false;
+        Channels chans = {};
     };
 
     struct HwProc
@@ -355,17 +366,25 @@ class CoSim
         std::unique_ptr<Store> store;
         std::unique_ptr<DomainExecutor> exec;
         std::uint64_t time = 0;
+        Channels chans = {};
+        /**
+         * Settled: the last step fired no rule, and since then no
+         * channel delivered to the domain, no pump picked up from it
+         * (its outgoing message count is still pickups) and run()
+         * was not re-entered. Its state is unchanged since a cycle
+         * that fired nothing, so the next cycle fires nothing too
+         * and is accounted by DomainExecutor::settledStep instead.
+         */
+        bool settled = false;
+        std::uint64_t pickups = 0;
+        std::uint64_t settledCycles = 0;  ///< accounted, not run
     };
 
     bool sliceSoftware(SwProc &sw);
     bool tryDriver(SwProc &sw);
     bool sliceHardware(HwProc &hw, std::uint64_t horizon);
-    void pumpFrom(const std::string &domain, std::uint64_t time);
-    bool deliverTo(const std::string &domain, std::uint64_t time);
+    Channels &channelsOf(const std::string &domain);
     std::uint64_t nextChannelEvent() const;
-    /** Next event (arrival or deferred pickup) of a channel addressed
-     *  to @p domain. */
-    std::uint64_t nextDeliveryTo(const std::string &domain) const;
     std::uint64_t hwHorizon() const;
     void advancePast(std::uint64_t next);
 

@@ -658,6 +658,16 @@ RemoteHwPartition::step(std::uint64_t budget)
     return res;
 }
 
+ExecStep
+RemoteHwPartition::settledStep()
+{
+    active_ = false;
+    ExecStep r;
+    r.consumed = 1;
+    r.cycles = 1;
+    return r;
+}
+
 bool
 RemoteHwPartition::exchangeOut(Store &mirror)
 {

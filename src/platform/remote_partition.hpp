@@ -141,6 +141,11 @@ class RemoteHwPartition final : public DomainExecutor
     /** Run one remote slice of up to @p budget cycles. */
     ExecStep step(std::uint64_t budget) override;
 
+    /** The slice report a settled child would send, without the round
+     *  trip: its burst leaves stats unchanged on a leading idle
+     *  cycle, so the stats mirror stays as it is. */
+    ExecStep settledStep() override;
+
     /** Demarshal the last slice's SyncTx/device output into
      *  @p mirror. */
     bool exchangeOut(Store &mirror) override;

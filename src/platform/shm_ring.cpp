@@ -157,8 +157,12 @@ waitFor(const std::function<bool()> &ready,
             return false;
         if (std::chrono::steady_clock::now() >= deadline)
             return false;
-        // Brief spin for the common in-flight case, then sleep —
-        // slices are milliseconds, so 50 us granularity is invisible.
+        // Brief spin for the common in-flight case, then sleep. The
+        // 50 us sleep is not small against every slice: a ray
+        // partition B slice takes 19-24 us at the median
+        // (platform.remote.slice_us_p50 of perfbench
+        // ray_roundtrip_shm, RelWithDebInfo, 4-vCPU VM), so a reply
+        // that misses the spin waits up to two slices longer.
         if (++spins < 64)
             std::this_thread::yield();
         else

@@ -4,8 +4,10 @@
  * co-simulation (§4.4: a partition touches the rest of the system
  * only through its synchronizer halves). Channel transports always
  * work on the domain's mirror Store; each slice step is
- * exchangeIn(mirror) -> step(budget) -> exchangeOut(mirror), and each
- * backend keeps its own mirror protocol behind the two exchanges.
+ * exchangeIn(mirror) -> step(budget) -> exchangeOut(mirror), or one
+ * settledStep() when a hardware domain provably has nothing to do,
+ * and each backend keeps its own mirror protocol behind the two
+ * exchanges.
  * makeDomainExecutor (platform/cosim.hpp) is the one place that
  * picks a backend.
  */
@@ -110,6 +112,17 @@ class DomainExecutor
     /** Move produced messages into the mirror. @return true when
      *  the mirror may hold new outbound messages. */
     virtual bool exchangeOut(Store &) { return false; }
+
+    /**
+     * Account one cycle of a settled hardware domain without clocking
+     * it: the last step fired no rule and neither exchange has had
+     * anything to move since, so the cycle step() would run fires
+     * nothing either (no primitive changes state on an edge unless a
+     * rule calls it). Returns, and counts into hwStats(), exactly
+     * what that idle step would have: consumed 1, fired 0, idle()
+     * afterwards. The default runs the step.
+     */
+    virtual ExecStep settledStep() { return step(1); }
 
     /** True when the last step found nothing to do. */
     virtual bool idle() const = 0;

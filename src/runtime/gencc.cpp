@@ -494,11 +494,15 @@ void
 CompiledPartition::checkThread(const char *op)
 {
     const std::thread::id cur = std::this_thread::get_id();
-    std::thread::id expect{};
+    // Bound to the caller: the common case, one load.
+    std::thread::id expect = owner_.load(std::memory_order_acquire);
+    if (expect == cur)
+        return;
     // Unbound -> bind to the calling thread; already-bound -> must
     // match. The CAS only ever installs over the unbound id, so the
     // bound owner is stable until rebindThread().
-    if (owner_.compare_exchange_strong(expect, cur,
+    if (expect == std::thread::id{} &&
+        owner_.compare_exchange_strong(expect, cur,
                                        std::memory_order_acq_rel))
         return;
     if (expect != cur) {

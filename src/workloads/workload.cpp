@@ -60,8 +60,10 @@ runWorkload(const Workload &w, const StageDomains &domains,
     }
     // Every hardware domain of the partitioning (null for software).
     for (const PartitionPart &part : parts.parts) {
-        if (const HwStats *hw = cosim.hwStats(part.domain))
+        if (const HwStats *hw = cosim.hwStats(part.domain)) {
             res.hwRuleFires += hw->rulesFired;
+            res.hwStats.emplace_back(part.domain, *hw);
+        }
     }
     for (const auto &chan : cosim.channels()) {
         res.messages += chan->stats().messages;

@@ -114,6 +114,8 @@ struct RunResult
     std::uint64_t swRulesAttempted = 0;  ///< incl. guard failures
     std::uint64_t swShadowCopies = 0;    ///< modeled state snapshots
     std::uint64_t hwRuleFires = 0;       ///< over every HW domain
+    /** Each hardware domain's counters, in partition order. */
+    std::vector<std::pair<std::string, HwStats>> hwStats;
     std::uint64_t messages = 0;          ///< cross-partition messages
     std::uint64_t channelWords = 0;      ///< payload words moved
     /** Per-channel traffic, by channel name in construction order —
