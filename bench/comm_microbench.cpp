@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "bench_main.hpp"
 #include "common/stats.hpp"
@@ -96,7 +97,7 @@ runEcho(int words, int depth, int count, const PlatformSpec &plat)
         // the previous echo came back (words == 1 measures the
         // round-trip latency); streaming runs keep the pipe full.
         if (words == 1 &&
-            port.store().at(out).queue.size() !=
+            std::as_const(port.store()).at(out).queue.size() !=
                 static_cast<size_t>(fed)) {
             return 0;
         }
@@ -112,7 +113,8 @@ runEcho(int words, int depth, int count, const PlatformSpec &plat)
 
     CommResult res;
     res.cycles = cosim.run([&](CoSim &cs) {
-        return cs.storeOf("SW").at(out).queue.size() ==
+        const Store &sw = cs.storeOf("SW");
+        return sw.at(out).queue.size() ==
                static_cast<size_t>(count);
     });
     res.words_moved = static_cast<std::uint64_t>(words) * count * 2;

@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_main.hpp"
@@ -104,7 +105,7 @@ runInterpreter(const ElabProgram &sw, int push, int audio,
     }
     res.wallNs = nowNs() - t0;
     res.rulesFired = interp.stats().rulesFired;
-    for (const auto &v : store.at(audio).queue) {
+    for (const auto &v : std::as_const(store).at(audio).queue) {
         for (const auto &s : v.elems())
             res.pcm.push_back(static_cast<std::int32_t>(s.asInt()));
     }

@@ -17,6 +17,8 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "core/axioms.hpp"
 #include "core/builder.hpp"
 #include "core/elaborate.hpp"
@@ -61,7 +63,7 @@ runVorbisSw(SwStrategy strategy, int frames,
 
     auto inputs = makeFrames(frames);
     size_t fed = 0;
-    while (store.at(audio).queue.size() <
+    while (std::as_const(store).at(audio).queue.size() <
            static_cast<size_t>(frames)) {
         engine.runToQuiescence(1u << 20);
         if (fed < inputs.size()) {

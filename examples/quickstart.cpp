@@ -11,6 +11,7 @@
  * Run: ./example_quickstart
  */
 #include <cstdio>
+#include <utility>
 
 #include "core/builder.hpp"
 #include "core/codegen_bsv.hpp"
@@ -132,7 +133,7 @@ main()
         }
         std::printf("reference results: ");
         for (const auto &v :
-             store.at(elab.primByPath("out")).queue) {
+             std::as_const(store).at(elab.primByPath("out")).queue) {
             std::printf("%lld ", static_cast<long long>(v.asInt()));
         }
         std::printf("\n");
@@ -166,11 +167,13 @@ main()
     driver.done = [&] { return fed >= 4; };
     cosim.setDriver("SW", driver);
     std::uint64_t cycles = cosim.run([&](CoSim &cs) {
-        return cs.storeOf("SW").at(out).queue.size() == 4;
+        const Store &sw = cs.storeOf("SW");
+        return sw.at(out).queue.size() == 4;
     });
 
     std::printf("co-simulated results (HW gcd engine): ");
-    for (const auto &v : cosim.storeOf("SW").at(out).queue)
+    const Store &swStore = cosim.storeOf("SW");
+    for (const auto &v : swStore.at(out).queue)
         std::printf("%lld ", static_cast<long long>(v.asInt()));
     std::printf("\n%llu FPGA cycles end to end\n",
                 static_cast<unsigned long long>(cycles));

@@ -69,8 +69,9 @@ bool
 CompiledHwPartition::exchangeIn(Store &mirror)
 {
     bool moved = false;
+    const Store &view = mirror;
     for (size_t i = 0; i < prims_.rx.size(); i++) {
-        const auto &queue = mirror.at(prims_.rx[i]).queue;
+        const auto &queue = view.at(prims_.rx[i]).queue;
         // A mirror may outgrow the fifo (a remote child's is not
         // credit-bounded); the surplus waits there for free slots.
         int want = std::min(static_cast<int>(queue.size()), rxCap_[i]);
@@ -84,7 +85,7 @@ CompiledHwPartition::exchangeIn(Store &mirror)
     }
     for (size_t i = 0; i < prims_.tx.size(); i++) {
         int backlog =
-            static_cast<int>(mirror.at(prims_.tx[i]).queue.size());
+            static_cast<int>(view.at(prims_.tx[i]).queue.size());
         if (backlog != txReserved_[i]) {
             part_.primSize(prims_.tx[i], backlog);
             txReserved_[i] = backlog;
@@ -108,22 +109,21 @@ CompiledHwPartition::exchangeOut(Store &mirror)
         int consumed = rxFed_[i] - held;
         if (consumed < 0)
             panic("compiled_hw: rules enqueued into a SyncRx");
-        mirror.at(prims_.rx[i])
-            .queue.pop_front(static_cast<size_t>(consumed));
+        if (consumed > 0)
+            mirror.at(prims_.rx[i])
+                .queue.pop_front(static_cast<size_t>(consumed));
         rxFed_[i] = held;
     }
     for (int id : prims_.tx) {
-        auto &queue = mirror.at(id).queue;
         for (int n = part_.primSize(id); n > 0; n--) {
             part_.popPrim(id, v);
-            queue.push_back(std::move(v));
+            mirror.at(id).queue.push_back(std::move(v));
             moved = true;
         }
     }
     for (int id : prims_.dev) {
-        auto &queue = mirror.at(id).queue;
         while (part_.popDevice(id, v)) {
-            queue.push_back(std::move(v));
+            mirror.at(id).queue.push_back(std::move(v));
             moved = true;
         }
     }

@@ -1,6 +1,7 @@
 #include "platform/channel.hpp"
 
 #include <limits>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -35,7 +36,7 @@ ChannelTransport::ChannelTransport(const ChannelSpec &spec,
 int
 ChannelTransport::rxCreditsFree() const
 {
-    const PrimState &rx = rxStore.at(spec_.rxPrim);
+    const PrimState &rx = std::as_const(rxStore).at(spec_.rxPrim);
     return spec_.capacity - static_cast<int>(rx.queue.size()) -
            static_cast<int>(inFlight_.size());
 }
@@ -44,8 +45,10 @@ void
 ChannelTransport::pump(std::uint64_t now)
 {
     lastPumpTime = now;
-    PrimState &tx = txStore.at(spec_.txPrim);
-    while (!tx.queue.empty()) {
+    // Read through the const view: only a real pickup may move the
+    // SyncTx's version (store.hpp), or an idle pump would make every
+    // rule that uses it re-run instead of replay.
+    while (!std::as_const(txStore).at(spec_.txPrim).queue.empty()) {
         if (rxCreditsFree() <= 0) {
             // Consumer full: leave staged; producer back-pressure
             // propagates through the SyncTx guard. Accrue the
@@ -77,6 +80,7 @@ ChannelTransport::pump(std::uint64_t now)
         // The structure crosses directly; the word count above
         // drives the timing, and marshal bit-exactness is covered by
         // its own tests.
+        PrimState &tx = txStore.at(spec_.txPrim);
         inFlight_.push_back({tx.queue.front(), arrive});
         tx.queue.pop_front();
         stats_.messages++;
@@ -91,22 +95,22 @@ ChannelTransport::pump(std::uint64_t now)
 bool
 ChannelTransport::deliver(std::uint64_t now)
 {
+    // Nothing due: leave the SyncRx's version alone (see pump).
+    if (inFlight_.empty() || inFlight_.front().deliverAt > now)
+        return false;
     PrimState &rx = rxStore.at(spec_.rxPrim);
-    bool any = false;
     while (!inFlight_.empty() && inFlight_.front().deliverAt <= now) {
         if (static_cast<int>(rx.queue.size()) >= spec_.capacity)
             panic("channel '" + spec_.name +
                   "': credit accounting violated (rx overflow)");
         rx.queue.push_back(std::move(inFlight_.front().msg));
         inFlight_.pop_front();
-        any = true;
         delivered_++;
         obs::trace().flowEnd(spec_.name.c_str(), "channel",
                              flowBase_ + delivered_);
     }
-    if (any)
-        occupancy_.observe(static_cast<double>(rx.queue.size()));
-    return any;
+    occupancy_.observe(static_cast<double>(rx.queue.size()));
+    return true;
 }
 
 std::uint64_t
@@ -115,7 +119,7 @@ ChannelTransport::nextEventAt() const
     std::uint64_t next = inFlight_.empty()
                              ? std::numeric_limits<std::uint64_t>::max()
                              : inFlight_.front().deliverAt;
-    const PrimState &tx = txStore.at(spec_.txPrim);
+    const PrimState &tx = std::as_const(txStore).at(spec_.txPrim);
     if (!tx.queue.empty() && rxCreditsFree() > 0) {
         std::uint64_t pickup =
             lastPumpTime > link.freeTime() ? lastPumpTime

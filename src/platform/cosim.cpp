@@ -46,16 +46,6 @@ deliverAll(const std::vector<ChannelTransport *> &chans,
     return any;
 }
 
-/** Messages picked up so far from a domain's outgoing channels. */
-std::uint64_t
-pickups(const std::vector<ChannelTransport *> &out)
-{
-    std::uint64_t n = 0;
-    for (const ChannelTransport *t : out)
-        n += t->stats().messages;
-    return n;
-}
-
 } // namespace
 
 CoSim::CoSim(const PartitionResult &parts, CosimConfig config)
@@ -322,14 +312,10 @@ CoSim::sliceHardware(HwProc &hw, std::uint64_t horizon)
     bool active = true;
     while (hw.time < horizon || active) {
         pumpAll(hw.chans.out, hw.time);
-        if (deliverAll(hw.chans.in, hw.time)) {
+        if (deliverAll(hw.chans.in, hw.time))
             progress = true;
-            hw.settled = false;
-        }
-        if (hw.settled && pickups(hw.chans.out) != hw.pickups)
-            hw.settled = false;
         ExecStep r;
-        if (hw.settled) {
+        if (hw.settled && hw.store->stamp() == hw.settledStamp) {
             r = ex.settledStep();
             hw.settledCycles++;
         } else {
@@ -337,7 +323,7 @@ CoSim::sliceHardware(HwProc &hw, std::uint64_t horizon)
             r = ex.step(horizon > hw.time ? horizon - hw.time : 1);
             ex.exchangeOut(*hw.store);
             hw.settled = r.fired == 0;
-            hw.pickups = pickups(hw.chans.out);
+            hw.settledStamp = hw.store->stamp();
         }
         hw.time += r.consumed;
         active = !ex.idle();
@@ -394,9 +380,6 @@ CoSim::advancePast(std::uint64_t next)
 std::uint64_t
 CoSim::run(const std::function<bool(CoSim &)> &done)
 {
-    // The caller may have changed any store since the last run.
-    for (auto &hw : hwProcs)
-        hw.settled = false;
     while (!done(*this)) {
         if (now() > kMaxFpgaCycles)
             fatal("co-simulation exceeded kMaxFpgaCycles");

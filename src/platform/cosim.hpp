@@ -368,15 +368,15 @@ class CoSim
         std::uint64_t time = 0;
         Channels chans = {};
         /**
-         * Settled: the last step fired no rule, and since then no
-         * channel delivered to the domain, no pump picked up from it
-         * (its outgoing message count is still pickups) and run()
-         * was not re-entered. Its state is unchanged since a cycle
-         * that fired nothing, so the next cycle fires nothing too
-         * and is accounted by DomainExecutor::settledStep instead.
+         * Settled: the last step fired no rule, and the store's
+         * stamp() is still settledStamp, so no delivery, pickup or
+         * caller poke has changed it since (store.hpp versions). Its
+         * state is unchanged since a cycle that fired nothing, so the
+         * next cycle fires nothing too and is accounted by
+         * DomainExecutor::settledStep instead.
          */
         bool settled = false;
-        std::uint64_t pickups = 0;
+        std::uint64_t settledStamp = 0;
         std::uint64_t settledCycles = 0;  ///< accounted, not run
     };
 

@@ -5,6 +5,8 @@
  */
 #include "platform/cosim.hpp"
 
+#include <utility>
+
 namespace bcl {
 
 namespace {
@@ -88,7 +90,7 @@ class CompiledSw final : public DomainExecutor, public SwPort
     {
         bool moved = false;
         for (int id : prims_.rx) {
-            auto &queue = mirror.at(id).queue;
+            const auto &queue = std::as_const(mirror).at(id).queue;
             // Move what the compiled FIFO accepts; leave the rest
             // staged in the mirror (occupancy splits across the two,
             // so the credit check on the mirror stays conservative
@@ -99,7 +101,7 @@ class CompiledSw final : public DomainExecutor, public SwPort
                    part_.pushPrim(id, queue[accepted]))
                 accepted++;
             if (accepted > 0) {
-                queue.pop_front(accepted);
+                mirror.at(id).queue.pop_front(accepted);
                 moved = true;
             }
         }

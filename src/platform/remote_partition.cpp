@@ -6,6 +6,7 @@
 #include <cstring>
 #include <exception>
 #include <thread>
+#include <utility>
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -259,6 +260,10 @@ shipQueues(RemoteLink &link, Store &store, const std::vector<int> &prims,
            int timeout_ms)
 {
     for (int id : prims) {
+        // Empty queues stay untouched: a mutable at() would move the
+        // SyncTx's version and re-run the rules that use it.
+        if (std::as_const(store).at(id).queue.empty())
+            continue;
         auto &q = store.at(id).queue;
         for (const Value &v : q) {
             Frame m;
@@ -575,6 +580,8 @@ RemoteHwPartition::exchangeIn(Store &mirror)
 {
     bool moved = false;
     for (int id : prims_.rx) {
+        if (std::as_const(mirror).at(id).queue.empty())
+            continue;
         auto &queue = mirror.at(id).queue;
         for (const Value &v : queue) {
             Frame m;

@@ -1,5 +1,7 @@
 #include "ray/partitions.hpp"
 
+#include <utility>
+
 #include "workloads/workload.hpp"
 
 namespace bcl {
@@ -57,7 +59,7 @@ class RayWorkload final : public Workload
         int done_cnt = parts.part("SW").prog.primByPath("doneCnt");
         StreamSpec spec;
         spec.progress = [done_cnt](CoSim &cs) {
-            return cs.storeOf("SW").at(done_cnt).val.asUInt();
+            return std::as_const(cs.storeOf("SW")).at(done_cnt).val.asUInt();
         };
         spec.target = static_cast<std::uint64_t>(size.side) * size.side;
         return spec;
@@ -68,7 +70,8 @@ class RayWorkload final : public Workload
     {
         int fb = parts.part("SW").prog.primByPath("fb");
         std::vector<std::uint32_t> pixels;
-        for (const Value &px : cs.storeOf("SW").at(fb).val.elems())
+        for (const Value &px :
+             std::as_const(cs.storeOf("SW")).at(fb).val.elems())
             pixels.push_back(static_cast<std::uint32_t>(px.asUInt()));
         return pixels;
     }

@@ -267,6 +267,7 @@ CompiledProgram::revalidate(const ElabProgram &prog)
     exprs.clear();
     acts.clear();
     kidPool.clear();
+    generation++;
     for (RuleEntry &r : rules)
         r = RuleEntry{};
     for (MethodEntry &m : methods)

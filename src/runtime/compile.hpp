@@ -104,6 +104,10 @@ struct CompiledProgram
     std::vector<std::int32_t> kidPool;
     std::vector<RuleEntry> rules;
     std::vector<MethodEntry> methods;
+    /** Bumped each time revalidate() drops the pools: anything keyed
+     *  on the compiled bodies (the interpreter's replay memos) is
+     *  stale once it moves. */
+    std::uint64_t generation = 0;
 
     /**
      * Sweep every cached entry against the program's current body

@@ -1,8 +1,11 @@
 #include "runtime/interp.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <set>
 
 #include "common/logging.hpp"
+#include "core/rwsets.hpp"
 #include "fixpt/fixpt.hpp"
 #include "runtime/compile.hpp"
 #include "runtime/primitives.hpp"
@@ -554,12 +557,44 @@ Interp::Interp(const ElabProgram &program, Store &store)
 
 Interp::~Interp() = default;
 
+Interp::RuleMemo &
+Interp::memoFor(int rule_id)
+{
+    if (memoGeneration_ != compiled_->generation ||
+        memos_.size() != prog.rules.size()) {
+        memos_.assign(prog.rules.size(), RuleMemo{});
+        memoGeneration_ = compiled_->generation;
+    }
+    RuleMemo &memo = memos_[static_cast<size_t>(rule_id)];
+    if (!memo.primsBuilt) {
+        RWSets rw = ruleRW(prog, rule_id);
+        std::set<int> ids = std::move(rw.reads);
+        ids.insert(rw.writes.begin(), rw.writes.end());
+        for (const auto &[id, meth] : rw.uses)
+            ids.insert(id);
+        memo.prims.assign(ids.begin(), ids.end());
+        memo.primsBuilt = true;
+    }
+    return memo;
+}
+
 bool
 Interp::fireRule(int rule_id)
 {
     if (rule_id < 0 || static_cast<size_t>(rule_id) >= prog.rules.size())
         panic("fireRule: bad rule id " + std::to_string(rule_id));
     std::int32_t root = compiled_->ruleRoot(prog, rule_id);
+    RuleMemo &memo = memoFor(rule_id);
+    if (memo.failed &&
+        std::none_of(memo.prims.begin(), memo.prims.end(), [&](int id) {
+            return store_.version(id) > memo.stamp;
+        })) {
+        stats_ += memo.delta;
+        replayed_++;
+        return false;
+    }
+    memo.failed = false;
+    const ExecStats before = stats_;
     stats_.rulesAttempted++;
 
     TxnFrame frame(store_);
@@ -571,6 +606,9 @@ Interp::fireRule(int rule_id)
         stats_.guardFails++;
         stats_.wastedWork += exec.localWork;
         stats_.work += costs_.perRollback;
+        memo.delta = stats_ - before;
+        memo.stamp = store_.stamp();
+        memo.failed = true;
         return false;
     }
     stats_.work += costs_.perCommitEntry * frame.writeCount();

@@ -28,6 +28,18 @@
  * returns false (guard failure). This all-or-nothing property is
  * what every scheduler above (exec.hpp, clocksim.hpp, cosim.hpp)
  * assumes.
+ *
+ * Replay: an attempt's outcome and charges depend only on the rule's
+ * compiled body, the cost model and the state of the primitives the
+ * rule may use (ruleRW's uses, reads and writes; conservative by
+ * contract, core/rwsets.hpp). So fireRule() remembers the ExecStats
+ * delta of a rule's last failed attempt and the store stamp() it
+ * failed at. While none of those primitives' versions has moved past
+ * that stamp (store.hpp: only the mutable Store::at() moves one), the
+ * next attempt adds the remembered delta and returns false without
+ * evaluating anything. Fired attempts and attempts that escape with
+ * another exception remember nothing; a replaced body (compile.hpp)
+ * or a call to the mutable costs() forgets everything.
  */
 #ifndef BCL_RUNTIME_INTERP_HPP
 #define BCL_RUNTIME_INTERP_HPP
@@ -98,6 +110,34 @@ struct ExecStats
     {
         *this = ExecStats{};
     }
+
+    ExecStats &
+    operator+=(const ExecStats &d)
+    {
+        work += d.work;
+        wastedWork += d.wastedWork;
+        rulesAttempted += d.rulesAttempted;
+        rulesFired += d.rulesFired;
+        guardFails += d.guardFails;
+        commits += d.commits;
+        shadowCopies += d.shadowCopies;
+        return *this;
+    }
+
+    /** Counter-wise difference to an earlier snapshot @p before. */
+    ExecStats
+    operator-(const ExecStats &before) const
+    {
+        ExecStats d;
+        d.work = work - before.work;
+        d.wastedWork = wastedWork - before.wastedWork;
+        d.rulesAttempted = rulesAttempted - before.rulesAttempted;
+        d.rulesFired = rulesFired - before.rulesFired;
+        d.guardFails = guardFails - before.guardFails;
+        d.commits = commits - before.commits;
+        d.shadowCopies = shadowCopies - before.shadowCopies;
+        return d;
+    }
 };
 
 /** Interpreter over one elaborated program and its store. */
@@ -135,8 +175,22 @@ class Interp
     ExecStats &stats() { return stats_; }
     const ExecStats &stats() const { return stats_; }
 
-    /** The cost model (mutable for calibration). */
-    CostModel &costs() { return costs_; }
+    /**
+     * The cost model, mutable for calibration. Forgets every replay
+     * memo: a delta charged under one model must not be replayed
+     * under another. Do not keep the reference across attempts.
+     */
+    CostModel &
+    costs()
+    {
+        memos_.clear();
+        return costs_;
+    }
+    const CostModel &costs() const { return costs_; }
+
+    /** Failed attempts answered from a replay memo (mechanism only:
+     *  their charges are already in stats()). */
+    std::uint64_t replayedAttempts() const { return replayed_; }
 
     /** The program this interpreter runs. */
     const ElabProgram &program() const { return prog; }
@@ -147,6 +201,19 @@ class Interp
   private:
     friend class InterpExec;
 
+    /** What a rule's last failed attempt charged (file comment). */
+    struct RuleMemo
+    {
+        bool primsBuilt = false;
+        std::vector<int> prims;  ///< ruleRW's uses, reads and writes
+        bool failed = false;     ///< delta/stamp hold a failed attempt
+        std::uint64_t stamp = 0; ///< store stamp() at that failure
+        ExecStats delta;
+    };
+
+    /** @p rule_id's memo, building its primitive list on first use. */
+    RuleMemo &memoFor(int rule_id);
+
     const ElabProgram &prog;
     Store &store_;
     ExecStats stats_;
@@ -154,6 +221,11 @@ class Interp
     /** Lazily-built compiled rule/method bodies (see compile.hpp).
      *  Pure mechanism: does not affect modeled work. */
     std::unique_ptr<CompiledProgram> compiled_;
+    /** Per-rule replay memos, valid for compiled_->generation
+     *  memoGeneration_; empty until the first attempt. */
+    std::vector<RuleMemo> memos_;
+    std::uint64_t memoGeneration_ = 0;
+    std::uint64_t replayed_ = 0;
 };
 
 } // namespace bcl

@@ -1,5 +1,7 @@
 #include "runtime/store.hpp"
 
+#include <utility>
+
 #include "common/logging.hpp"
 #include "runtime/primitives.hpp"
 
@@ -10,6 +12,7 @@ Store::Store(const ElabProgram &prog)
     states.reserve(prog.prims.size());
     for (const auto &prim : prog.prims)
         states.push_back(initPrimState(prim));
+    versions.assign(states.size(), 0);
 }
 
 PrimState &
@@ -17,6 +20,7 @@ Store::at(int id)
 {
     if (id < 0 || static_cast<size_t>(id) >= states.size())
         panic("store index out of range: " + std::to_string(id));
+    versions[static_cast<size_t>(id)] = ++clock_;
     return states[static_cast<size_t>(id)];
 }
 
@@ -40,7 +44,7 @@ TxnFrame::get(int id) const
         if (it != f->delta.end())
             return it->second;
         if (f->base)
-            return f->base->at(id);
+            return std::as_const(*f->base).at(id);
     }
     panic("TxnFrame chain has no base store");
 }

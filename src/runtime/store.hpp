@@ -14,6 +14,15 @@
  * per prim, indexed by prim id) and never resizes afterwards. Until a
  * frame commits, the underlying store is unchanged — abandoning a
  * frame IS the rollback; there is no undo log to replay.
+ *
+ * Versions: the store keeps one version per primitive. The mutable
+ * Store::at() is the only way to change a PrimState, and every call
+ * to it moves that primitive's version past every version handed out
+ * before. So an unchanged version proves an unchanged state, which is
+ * what lets the interpreter replay a failed rule attempt instead of
+ * re-running it (interp.hpp). Read-only paths must use the const
+ * at(): a mutable access that changes nothing still moves the
+ * version and forces the rules that use the primitive to re-run.
  */
 #ifndef BCL_RUNTIME_STORE_HPP
 #define BCL_RUNTIME_STORE_HPP
@@ -180,12 +189,29 @@ class Store
     /** Build initial state for @p prog (all prims at reset values). */
     explicit Store(const ElabProgram &prog);
 
+    /** Mutable state of @p id; moves its version (see file comment). */
     PrimState &at(int id);
+    /** Read-only state of @p id; leaves its version alone. */
     const PrimState &at(int id) const;
     size_t size() const { return states.size(); }
 
+    /** The stamp() of @p id's latest mutable at(); 0 before any. */
+    std::uint64_t
+    version(int id) const
+    {
+        return versions[static_cast<size_t>(id)];
+    }
+
+    /** The latest version handed out (0 before any mutable at()). */
+    std::uint64_t stamp() const { return clock_; }
+
+    // Assigning a whole store would move its versions backwards.
+    Store &operator=(const Store &) = delete;
+
   private:
     std::vector<PrimState> states;
+    std::vector<std::uint64_t> versions;
+    std::uint64_t clock_ = 0;
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "vorbis/partitions.hpp"
 
+#include <utility>
+
 #include "workloads/workload.hpp"
 
 namespace bcl {
@@ -58,7 +60,7 @@ class VorbisWorkload final : public Workload
         int audio = sw.primByPath("audio");
         spec.progress = [audio](CoSim &cs) {
             return static_cast<std::uint64_t>(
-                cs.storeOf("SW").at(audio).queue.size());
+                std::as_const(cs.storeOf("SW")).at(audio).queue.size());
         };
         spec.target = static_cast<std::uint64_t>(size.frames);
         return spec;
@@ -136,7 +138,8 @@ std::vector<std::int32_t>
 extractPcm(CoSim &cs, int audio_prim)
 {
     std::vector<std::int32_t> pcm;
-    for (const auto &v : cs.storeOf("SW").at(audio_prim).queue) {
+    for (const auto &v :
+         std::as_const(cs.storeOf("SW")).at(audio_prim).queue) {
         for (const auto &s : v.elems())
             pcm.push_back(static_cast<std::int32_t>(s.asInt()));
     }
