@@ -150,7 +150,10 @@ class CppGen
                 piece([&] { emitRule(static_cast<int>(i)); }));
         for (int mid : rootActionMethods())
             bodies.push_back(piece([&] { emitMethod(mid); }));
-        const std::string abi = piece([&] { emitAbi(); });
+        // The extern "C" glue picks the marshalers it calls, so it is
+        // emitted first and the marshalers go ahead of it.
+        const std::string glue = piece([&] { emitAbi(); });
+        const std::string abi = piece([&] { emitMarshalers(); }) + glue;
         const std::string header = piece([&] { emitHeader(); });
 
         size_t size = header.size() + abi.size();
@@ -254,15 +257,10 @@ class CppGen
         w.writeLine("std::uint64_t fired_ = 0;");
         w.writeLine("std::uint64_t attempts_ = 0;");
         if (hwValid) {
-            w.writeLine("// Clock-edge counters (bcl_gen_hw_stats).");
-            w.writeLine("std::uint64_t hw_cycles_ = 0;");
-            w.writeLine("std::uint64_t hw_rules_fired_ = 0;");
-            w.writeLine("std::uint64_t hw_busy_cycles_ = 0;");
-            if (!prog.rules.empty()) {
-                w.writeLine("std::uint64_t hw_fires_[" +
-                            std::to_string(prog.rules.size()) +
-                            "] = {};");
-            }
+            w.writeLine("// Clock-edge fires per rule (bcl_gen_hw_fires).");
+            w.writeLine("std::array<std::uint64_t, " +
+                        std::to_string(prog.rules.size()) +
+                        "> hw_fires_{};");
         }
         w.outdent();
         w.closeBlock("};");
@@ -310,13 +308,15 @@ class CppGen
     std::string
     structName(const TypePtr &t)
     {
-        // Key on the field list only: BCL records are structurally
+        // Key on the C++ field list only: BCL records are structurally
         // typed (an anonymous MakeStruct result flows into any named
         // record of the same shape), so both must map to ONE emitted
         // C++ struct or assignments between them would not compile.
+        // A nested record's field type is its own struct's name, not
+        // Type::str(), which is "struct{...}" for every anonymous one.
         std::string key;
         for (const auto &[n, ft] : t->fields())
-            key += n + ":" + ft->str() + ",";
+            key += n + ":" + cppType(ft) + ",";
         auto it = structNames.find(key);
         if (it != structNames.end())
             return it->second;
@@ -881,11 +881,13 @@ class CppGen
         resetNames({});
 
         if (in_situ) {
+            // A complete lift leaves no guard inside: the lifted guard
+            // holds only reads and pure ops, and the body no checks.
             if (!isTrueConst(lifted_guard)) {
-                std::string g = emitExprStandalone(lifted_guard);
+                std::string g = emitExpr(lifted_guard);
                 w.writeLine("if (!(" + g + ")) return false;");
             }
-            emitActionUnguarded(body);
+            emitAction(body);
             w.writeLine("return true;");
             w.closeBlock("}");
             w.blank();
@@ -940,22 +942,6 @@ class CppGen
             }
             w.writeLine("return false;");
         }
-    }
-
-    /** Expression emission where guard checks must not appear. */
-    std::string
-    emitExprStandalone(const ExprPtr &e)
-    {
-        // Lifted guards contain only reads and pure ops; the regular
-        // emitter works because nothing inside can fail.
-        return emitExpr(e);
-    }
-
-    /** Body emission after a complete lift: no checks remain. */
-    void
-    emitActionUnguarded(const ActPtr &a)
-    {
-        emitAction(a);
     }
 
     // ----- root-interface methods -----------------------------------------
@@ -1090,9 +1076,6 @@ class CppGen
         }
         for (int i = 0; i < nwords; i++)
             w.writeLine("(void)wf" + std::to_string(i) + "_;");
-        w.writeLine("hw_cycles_++;");
-        w.writeLine("hw_rules_fired_ += (std::uint64_t)n_;");
-        w.writeLine("if (n_ > 0) hw_busy_cycles_++;");
         w.writeLine("return n_;");
         w.closeBlock("}");
     }
@@ -1144,11 +1127,94 @@ class CppGen
         }
     }
 
+    /** Message type of ABI-visible primitive @p p (the FIFO kinds and
+     *  AudioDev); null for every other primitive. */
+    TypePtr
+    payloadType(const ElabPrim &p) const
+    {
+        if (isFifoKind(p.kind))
+            return p.type;
+        if (p.kind == "AudioDev")
+            return devicePayloadType(prog, p.id);
+        return nullptr;
+    }
+
+    /**
+     * Suffix of the pack_/unpack_ pair for payload type @p t. Pairs are
+     * keyed on the whole Type, not on its C++ type: Bit#(12) and
+     * Bit#(32) are both std::int32_t but sign-extend differently.
+     */
+    std::string
+    marshaler(const TypePtr &t)
+    {
+        size_t i = 0;
+        while (i < marshaled.size() && !marshaled[i]->equals(*t))
+            i++;
+        if (i == marshaled.size())
+            marshaled.push_back(t);
+        return std::to_string(i);
+    }
+
+    /**
+     * One marshaler pair per payload type crossing the ABI (FIFO and
+     * device messages, root-method arguments): the per-message-type
+     * marshaling the paper derives from the channel table (section
+     * 4.4). Each keeps its bit cursor local, where the optimizer
+     * holds the position in a register. Emits the pairs emitAbi asked
+     * for, opening the ABI text.
+     */
+    void
+    emitMarshalers()
+    {
+        w.blank();
+        w.writeLine("// ---- C ABI (driven by runtime/gencc.hpp via "
+                    "dlsym) ----");
+        for (size_t i = 0; i < marshaled.size(); i++) {
+            const TypePtr &t = marshaled[i];
+            const std::string k = std::to_string(i), ct = cppType(t);
+            w.writeLine("// " + t->str());
+            w.openBlock("[[maybe_unused]] static " + ct + " unpack_" + k +
+                        "(const std::uint32_t *words, int nwords) {");
+            w.writeLine("bcl::gen::BitReader r_(words, nwords);");
+            w.writeLine(ct + " v_{};");
+            emitUnpackStmts(t, "v_");
+            w.writeLine("return v_;");
+            w.closeBlock("}");
+            w.openBlock("[[maybe_unused]] static void pack_" + k +
+                        "(std::uint32_t *words, int nwords, const " + ct +
+                        " &v_) {");
+            w.writeLine("bcl::gen::BitWriter w_(words, nwords);");
+            emitPackStmts(t, "v_");
+            w.closeBlock("}");
+        }
+    }
+
+    /** Open `case id:` of an ABI switch with its word-count check. */
+    void
+    openCase(int id, int nwords)
+    {
+        w.writeLine("case " + std::to_string(id) + ":");
+        w.indent();
+        w.writeLine("if (nwords != " + std::to_string(nwords) +
+                    ") return -2;");
+    }
+
+    /** Close an ABI switch on an id and its function: -1 = unknown. */
+    void
+    closeIdSwitch()
+    {
+        w.writeLine("default: return -1;");
+        w.closeBlock("}");
+        w.closeBlock("}");
+        w.blank();
+    }
+
     /**
      * The fixed extern "C" surface the gencc harness drives through
-     * dlsym. Word layouts on both sides of every call derive from the
-     * same Type (the paper's single-source-of-truth answer to the
-     * section 2.3 data-format problem): the host marshals with
+     * dlsym (emitMarshalers emits the pairs it calls ahead of it).
+     * Word layouts on both sides of every call derive from the same
+     * Type (the paper's single-source-of-truth answer to the section
+     * 2.3 data-format problem): the host marshals with
      * BitSink/packWords, the generated side with the mirrored
      * BitWriter/BitReader in gen_support.hpp.
      */
@@ -1157,9 +1223,6 @@ class CppGen
     {
         const std::string self =
             "static_cast<" + className + " *>(p)";
-        w.blank();
-        w.writeLine("// ---- C ABI (driven by runtime/gencc.hpp via "
-                    "dlsym) ----");
         w.writeLine("extern \"C\" {");
         w.blank();
         w.writeLine("int bcl_gen_abi_version() { return " +
@@ -1196,25 +1259,21 @@ class CppGen
             w.writeLine("int bcl_gen_hw_cycle(void *p) { (void)p; "
                         "return -1; }");
         }
-        w.writeLine("// which: 0 = cycles, 1 = rules fired, 2 = busy "
-                    "cycles, 3 = fires of @p rule.");
-        w.openBlock("std::uint64_t bcl_gen_hw_stats(void *p, int "
-                    "which, int rule) {");
+        w.writeLine("// Copy every rule's fire count into @p out: 0 = "
+                    "copied, -1 = not synthesizable,");
+        w.writeLine("// -2 = @p nrules is not the rule count.");
+        w.openBlock("int bcl_gen_hw_fires(void *p, std::uint64_t *out, "
+                    "int nrules) {");
         if (hwValid) {
-            w.writeLine("auto *self = " + self + ";");
-            w.writeLine("(void)rule;");
-            w.writeLine("if (which == 0) return self->hw_cycles_;");
-            w.writeLine("if (which == 1) return self->hw_rules_fired_;");
-            w.writeLine("if (which == 2) return self->hw_busy_cycles_;");
-            if (!prog.rules.empty()) {
-                w.writeLine("if (which == 3 && rule >= 0 && rule < " +
-                            std::to_string(prog.rules.size()) +
-                            ") return self->hw_fires_[rule];");
-            }
+            w.writeLine("if (nrules != " +
+                        std::to_string(prog.rules.size()) +
+                        ") return -2;");
+            w.writeLine("for (int r = 0; r < nrules; r++) out[r] = " +
+                        self + "->hw_fires_[r];");
             w.writeLine("return 0;");
         } else {
-            w.writeLine("(void)p; (void)which; (void)rule;");
-            w.writeLine("return 0;");
+            w.writeLine("(void)p; (void)out; (void)nrules;");
+            w.writeLine("return -1;");
         }
         w.closeBlock("}");
         w.blank();
@@ -1223,78 +1282,57 @@ class CppGen
         w.openBlock("int bcl_gen_payload_words(int prim) {");
         w.openBlock("switch (prim) {");
         for (const auto &p : prog.prims) {
-            if (isFifoKind(p.kind)) {
+            if (TypePtr t = payloadType(p)) {
                 w.writeLine("case " + std::to_string(p.id) +
-                            ": return " +
-                            std::to_string(wordsOf(p.type)) + ";");
-            } else if (p.kind == "AudioDev") {
-                w.writeLine("case " + std::to_string(p.id) +
-                            ": return " +
-                            std::to_string(wordsOf(
-                                devicePayloadType(prog, p.id))) +
+                            ": return " + std::to_string(wordsOf(t)) +
                             ";");
             }
         }
-        w.writeLine("default: return -1;");
-        w.closeBlock("}");
-        w.closeBlock("}");
-        w.blank();
+        closeIdSwitch();
 
         // FIFO push: returns 1 = accepted, 0 = full, -1 = unknown id,
         // -2 = word-count mismatch.
         w.openBlock("int bcl_gen_prim_push(void *p, int prim, const "
                     "std::uint32_t *words, int nwords) {");
         w.writeLine("auto *self = " + self + ";");
-        w.writeLine("(void)self; (void)words;");
+        w.writeLine("(void)self; (void)words; (void)nwords;");
         w.openBlock("switch (prim) {");
         for (const auto &p : prog.prims) {
             if (!isFifoKind(p.kind))
                 continue;
-            std::string name = ident(p.path);
-            w.openBlock("case " + std::to_string(p.id) + ": {");
-            w.writeLine("if (nwords != " +
-                        std::to_string(wordsOf(p.type)) +
-                        ") return -2;");
-            w.writeLine("if (!self->" + name + ".canEnq()) return 0;");
-            w.writeLine("bcl::gen::BitReader r_(words, nwords);");
-            w.writeLine(cppType(p.type) + " v_{};");
-            emitUnpackStmts(p.type, "v_");
-            w.writeLine("self->" + name + ".enq(v_);");
+            const std::string name = "self->" + ident(p.path);
+            openCase(p.id, wordsOf(p.type));
+            w.writeLine("if (!" + name + ".canEnq()) return 0;");
+            w.writeLine(name + ".enq(unpack_" + marshaler(p.type) +
+                        "(words, nwords));");
             w.writeLine("return 1;");
-            w.closeBlock("}");
+            w.outdent();
         }
-        w.writeLine("default: return -1;");
-        w.closeBlock("}");
-        w.closeBlock("}");
-        w.blank();
+        closeIdSwitch();
 
-        // FIFO pop: returns 1 = popped, 0 = empty, -1/-2 as above.
+        // FIFO pop and device-output (AudioDev) drain: returns
+        // 1 = popped, 0 = empty, -1/-2 as above.
         w.openBlock("int bcl_gen_prim_pop(void *p, int prim, "
                     "std::uint32_t *words, int nwords) {");
         w.writeLine("auto *self = " + self + ";");
-        w.writeLine("(void)self; (void)words;");
+        w.writeLine("(void)self; (void)words; (void)nwords;");
         w.openBlock("switch (prim) {");
         for (const auto &p : prog.prims) {
-            if (!isFifoKind(p.kind))
+            TypePtr t = payloadType(p);
+            if (!t)
                 continue;
-            std::string name = ident(p.path);
-            w.openBlock("case " + std::to_string(p.id) + ": {");
-            w.writeLine("if (nwords != " +
-                        std::to_string(wordsOf(p.type)) +
-                        ") return -2;");
-            w.writeLine("if (!self->" + name + ".canDeq()) return 0;");
-            w.writeLine("bcl::gen::BitWriter w_(words, nwords);");
-            w.writeLine("const " + cppType(p.type) + " &v_ = self->" +
-                        name + ".first();");
-            emitPackStmts(p.type, "v_");
-            w.writeLine("self->" + name + ".deq();");
+            const bool dev = p.kind == "AudioDev";
+            const std::string name = "self->" + ident(p.path);
+            openCase(p.id, wordsOf(t));
+            w.writeLine(dev ? "if (" + name + ".empty()) return 0;"
+                            : "if (!" + name + ".canDeq()) return 0;");
+            w.writeLine("pack_" + marshaler(t) + "(words, nwords, " +
+                        name + (dev ? ".front());" : ".first());"));
+            w.writeLine(name + (dev ? ".popFront();" : ".deq();"));
             w.writeLine("return 1;");
-            w.closeBlock("}");
+            w.outdent();
         }
-        w.writeLine("default: return -1;");
-        w.closeBlock("}");
-        w.closeBlock("}");
-        w.blank();
+        closeIdSwitch();
 
         // FIFO occupancy: returns the entry count (-1 = unknown id);
         // reserve >= 0 first sets the reserved-slot count canEnq
@@ -1308,45 +1346,15 @@ class CppGen
             if (!isFifoKind(p.kind))
                 continue;
             std::string name = "self->" + ident(p.path);
-            w.openBlock("case " + std::to_string(p.id) + ": {");
+            w.writeLine("case " + std::to_string(p.id) + ":");
+            w.indent();
             w.writeLine("if (reserve >= 0) " + name +
                         ".reserve(reserve);");
             w.writeLine("return static_cast<int>(" + name +
                         ".size());");
-            w.closeBlock("}");
+            w.outdent();
         }
-        w.writeLine("default: return -1;");
-        w.closeBlock("}");
-        w.closeBlock("}");
-        w.blank();
-
-        // Device-output drain (AudioDev): same contract as prim_pop.
-        w.openBlock("int bcl_gen_dev_pop(void *p, int prim, "
-                    "std::uint32_t *words, int nwords) {");
-        w.writeLine("auto *self = " + self + ";");
-        w.writeLine("(void)self; (void)words;");
-        w.openBlock("switch (prim) {");
-        for (const auto &p : prog.prims) {
-            if (p.kind != "AudioDev")
-                continue;
-            TypePtr t = devicePayloadType(prog, p.id);
-            std::string name = ident(p.path);
-            w.openBlock("case " + std::to_string(p.id) + ": {");
-            w.writeLine("if (nwords != " + std::to_string(wordsOf(t)) +
-                        ") return -2;");
-            w.writeLine("if (self->" + name + ".empty()) return 0;");
-            w.writeLine("bcl::gen::BitWriter w_(words, nwords);");
-            w.writeLine("const " + cppType(t) + " &v_ = self->" + name +
-                        ".front();");
-            emitPackStmts(t, "v_");
-            w.writeLine("self->" + name + ".popFront();");
-            w.writeLine("return 1;");
-            w.closeBlock("}");
-        }
-        w.writeLine("default: return -1;");
-        w.closeBlock("}");
-        w.closeBlock("}");
-        w.blank();
+        closeIdSwitch();
 
         // Root action method call: args are the per-argument
         // marshalValue() streams concatenated, each argument starting
@@ -1355,34 +1363,24 @@ class CppGen
         w.openBlock("int bcl_gen_call_action(void *p, int meth, const "
                     "std::uint32_t *words, int nwords) {");
         w.writeLine("auto *self = " + self + ";");
-        w.writeLine("(void)self; (void)words;");
+        w.writeLine("(void)self; (void)words; (void)nwords;");
         w.openBlock("switch (meth) {");
         for (int mid : rootActionMethods()) {
             const ElabMethod &m = prog.methods[mid];
-            int total = 0;
-            for (const auto &prm : m.params)
-                total += wordsOf(prm.type);
-            w.openBlock("case " + std::to_string(mid) + ": {");
-            w.writeLine("if (nwords != " + std::to_string(total) +
-                        ") return -2;");
-            w.writeLine("bcl::gen::BitReader r_(words, nwords);");
-            std::vector<std::string> argNames;
-            for (size_t i = 0; i < m.params.size(); i++) {
-                std::string an = "a" + std::to_string(i) + "_";
-                w.writeLine(cppType(m.params[i].type) + " " + an +
-                            "{};");
-                emitUnpackStmts(m.params[i].type, an);
-                w.writeLine("r_.alignWord();");
-                argNames.push_back(an);
+            std::vector<std::string> args;
+            int at = 0;
+            for (const auto &prm : m.params) {
+                args.push_back("unpack_" + marshaler(prm.type) +
+                               "(words + " + std::to_string(at) + ", " +
+                               std::to_string(wordsOf(prm.type)) + ")");
+                at += wordsOf(prm.type);
             }
+            openCase(mid, at);
             w.writeLine("return self->method_" + std::to_string(mid) +
-                        "(" + join(argNames, ", ") + ") ? 1 : 0;");
-            w.closeBlock("}");
+                        "(" + join(args, ", ") + ") ? 1 : 0;");
+            w.outdent();
         }
-        w.writeLine("default: return -1;");
-        w.closeBlock("}");
-        w.closeBlock("}");
-        w.blank();
+        closeIdSwitch();
         w.writeLine("} // extern \"C\"");
     }
 
@@ -1443,6 +1441,8 @@ class CppGen
     }
     std::map<std::string, std::string> structNames;
     std::vector<std::pair<std::string, TypePtr>> structOrder;
+    /** Payload types with a generated marshaler pair, in suffix order. */
+    std::vector<TypePtr> marshaled;
 };
 
 } // namespace

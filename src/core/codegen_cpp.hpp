@@ -84,19 +84,24 @@ constexpr std::size_t kCppRuleUnits = 3;
  * The units together carry a fixed `extern "C"` ABI (`bcl_gen_*`)
  * that lets a host harness drive the compiled partition through
  * marshaled 32-bit words without sharing any C++ types with it:
- * create/destroy, run_to_quiescence, push/pop/size on FIFO-kind
- * primitives (the synchronizer halves of a partition), device-output
- * drain, and transactional root-interface action-method calls.
- * runtime/gencc.hpp is the in-tree consumer: it compiles the units
- * concurrently and links them into one shared object.
+ * create/destroy, run_to_quiescence, push/size on FIFO-kind
+ * primitives (the synchronizer halves of a partition), pop on FIFO-
+ * kind and device (AudioDev) primitives, and transactional
+ * root-interface action-method calls. Every payload type crossing it
+ * gets exactly one generated `pack_<k>`/`unpack_<k>` pair, keyed on
+ * the whole Type; each switch case is a word-count check, a ready
+ * check and one marshaler call. runtime/gencc.hpp is the in-tree
+ * consumer: it compiles the units concurrently and links them into
+ * one shared object.
  *
  * Partitions that pass the synchronous-hardware validation
  * additionally get a clock-edge scheduler (`hw_cycle`): one function
  * per clock edge with WILL_FIRE selection baked from the static
  * ConflictMatrix as constant bitmasks (program-order priority),
  * exposed as `bcl_gen_hw_valid` / `bcl_gen_hw_cycle` /
- * `bcl_gen_hw_stats`. Partitions that are not synthesizable keep the
- * same symbol surface as stubs (hw_valid = 0, hw_cycle = -1), so one
+ * `bcl_gen_hw_fires` (every rule's fire count in one call).
+ * Partitions that are not synthesizable keep the same symbol surface
+ * as stubs (hw_valid = 0, hw_cycle = -1, hw_fires = -1), so one
  * artifact serves both software and hardware consumers of the same
  * program. hwsim/compiled_hw.hpp is the in-tree consumer.
  */
@@ -106,9 +111,13 @@ std::vector<CppUnit> generateCpp(const ElabProgram &prog,
 
 /** ABI revision emitted as bcl_gen_abi_version() (bumped whenever the
  *  generated symbol contract changes incompatibly).
- *  v2: bcl_gen_hw_valid / bcl_gen_hw_cycle / bcl_gen_hw_stats.
- *  v3: bcl_gen_prim_size (FIFO occupancy + reserved-slot count). */
-constexpr int kCppGenAbiVersion = 3;
+ *  v2: bcl_gen_hw_valid / bcl_gen_hw_cycle / a clock-edge stats read.
+ *  v3: bcl_gen_prim_size (FIFO occupancy + reserved-slot count).
+ *  v4: bcl_gen_prim_pop also drains devices (no separate device pop);
+ *      bcl_gen_hw_fires copies every rule's fires in one call and
+ *      replaces the stats read, whose cycle, fire and busy-cycle
+ *      counters nobody read. */
+constexpr int kCppGenAbiVersion = 4;
 
 /**
  * The payload type a device primitive (AudioDev / Bitmap) receives:

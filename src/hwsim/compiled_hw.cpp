@@ -58,10 +58,10 @@ CompiledHwPartition::clockEdge()
 const HwStats &
 CompiledHwPartition::stats() const
 {
-    for (size_t r = 0; r < stats_.perRuleFires.size(); r++) {
-        stats_.perRuleFires[r] = part_.artifact_->fnHwStats_(
-            part_.inst_, 3, static_cast<int>(r));
-    }
+    std::vector<std::uint64_t> &fires = stats_.perRuleFires;
+    if (part_.artifact_->fnHwFires_(part_.inst_, fires.data(),
+                                    static_cast<int>(fires.size())) != 0)
+        panic("compiled_hw: bcl_gen_hw_fires refused the rule count");
     return stats_;
 }
 

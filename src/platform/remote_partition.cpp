@@ -110,32 +110,6 @@ programSignature(const ElabProgram &prog)
 
 namespace {
 
-class TcpRemoteLink final : public RemoteLink
-{
-  public:
-    explicit TcpRemoteLink(int fd) : conn_(fd) {}
-
-    bool
-    send(const Frame &f, int) override
-    {
-        return conn_.send(f);
-    }
-
-    RecvStatus
-    recv(Frame &out, int timeout_ms) override
-    {
-        return conn_.recv(out, timeout_ms);
-    }
-
-    const std::string &error() const override
-    {
-        return conn_.error();
-    }
-
-  private:
-    FrameConn conn_;
-};
-
 /** Parent side: owns the segment and initializes the rings; child
  *  side: views the same pages over @p base (the segment object stays
  *  in the parent's proxy). */

@@ -89,6 +89,33 @@ class RemoteLink
     virtual const std::string &error() const = 0;
 };
 
+/** A RemoteLink over one framed TCP connection (owns @p fd). */
+class TcpRemoteLink final : public RemoteLink
+{
+  public:
+    explicit TcpRemoteLink(int fd) : conn_(fd) {}
+
+    bool
+    send(const Frame &f, int) override
+    {
+        return conn_.send(f);
+    }
+
+    RecvStatus
+    recv(Frame &out, int timeout_ms) override
+    {
+        return conn_.recv(out, timeout_ms);
+    }
+
+    const std::string &error() const override
+    {
+        return conn_.error();
+    }
+
+  private:
+    FrameConn conn_;
+};
+
 /** Tuning/testing knobs for a remote partition. */
 struct RemoteOptions
 {

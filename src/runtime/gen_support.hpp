@@ -284,9 +284,6 @@ class BitWriter
         bits_ += static_cast<size_t>(nbits);
     }
 
-    /** Skip to the next 32-bit boundary (per-argument alignment). */
-    void alignWord() { bits_ = (bits_ + 31) & ~static_cast<size_t>(31); }
-
     size_t bitCount() const { return bits_; }
 
   private:
@@ -326,9 +323,6 @@ class BitReader
         pos_ += static_cast<size_t>(nbits);
         return out;
     }
-
-    /** Skip to the next 32-bit boundary (per-argument alignment). */
-    void alignWord() { pos_ = (pos_ + 31) & ~static_cast<size_t>(31); }
 
     size_t bitPos() const { return pos_; }
 

@@ -399,9 +399,6 @@ CompiledArtifact::resolveAbi()
             resolve("bcl_gen_prim_pop"));
     fnSize_ = reinterpret_cast<int (*)(void *, int, int)>(
         resolve("bcl_gen_prim_size"));
-    fnDevPop_ =
-        reinterpret_cast<int (*)(void *, int, std::uint32_t *, int)>(
-            resolve("bcl_gen_dev_pop"));
     fnCall_ = reinterpret_cast<int (*)(void *, int,
                                        const std::uint32_t *, int)>(
         resolve("bcl_gen_call_action"));
@@ -411,9 +408,8 @@ CompiledArtifact::resolveAbi()
         reinterpret_cast<int (*)()>(resolve("bcl_gen_hw_valid"));
     fnHwCycle_ = reinterpret_cast<int (*)(void *)>(
         resolve("bcl_gen_hw_cycle"));
-    fnHwStats_ =
-        reinterpret_cast<std::uint64_t (*)(void *, int, int)>(
-            resolve("bcl_gen_hw_stats"));
+    fnHwFires_ = reinterpret_cast<int (*)(void *, std::uint64_t *, int)>(
+        resolve("bcl_gen_hw_fires"));
 
     // Layout cross-check: the word count the generated side derived
     // for every ABI-visible primitive must match the host's own
@@ -563,34 +559,33 @@ CompiledPartition::pushPrim(int prim_id, const Value &v)
     return rc == 1;
 }
 
-Value
-CompiledPartition::popValue(int prim_id, const TypePtr &type,
-                            bool device, bool &ok)
+bool
+CompiledPartition::pop(int prim_id, const TypePtr &type, Value &out)
 {
     int nwords = (type->flatWidth() + 31) / 32;
     std::vector<std::uint32_t> words(
         static_cast<size_t>(nwords > 0 ? nwords : 1));
-    int rc = device ? artifact_->fnDevPop_(inst_, prim_id,
-                                           words.data(), nwords)
-                    : artifact_->fnPop_(inst_, prim_id, words.data(),
-                                        nwords);
+    int rc = artifact_->fnPop_(inst_, prim_id, words.data(), nwords);
     if (rc < 0) {
         panic("gencc: pop(" + std::to_string(prim_id) +
               ") rejected with " + std::to_string(rc) +
               " (id unknown or word count mismatch)");
     }
-    ok = rc == 1;
-    if (!ok)
-        return Value();
+    if (rc == 0) {
+        out = Value();
+        return false;
+    }
     // Aggregates stay marshaled until something reads them (see
     // core/value.hpp); a pushPrim into the next compiled partition
     // never unpacks them.
     if (type->isVec() || type->isStruct()) {
         words.resize(static_cast<size_t>(nwords));
-        return Value::makePacked(type, std::move(words));
+        out = Value::makePacked(type, std::move(words));
+    } else {
+        BitCursor cursor(words.data(), static_cast<size_t>(nwords));
+        out = type->unpackWords(cursor);
     }
-    BitCursor cursor(words.data(), static_cast<size_t>(nwords));
-    return type->unpackWords(cursor);
+    return true;
 }
 
 bool
@@ -598,10 +593,8 @@ CompiledPartition::popPrim(int prim_id, Value &out)
 {
     checkThread("popPrim");
     const ElabProgram &prog = artifact_->program();
-    const ElabPrim &p = prog.prims[static_cast<size_t>(prim_id)];
-    bool ok = false;
-    out = popValue(prim_id, p.type, false, ok);
-    return ok;
+    return pop(prim_id, prog.prims[static_cast<size_t>(prim_id)].type,
+               out);
 }
 
 int
@@ -623,9 +616,7 @@ CompiledPartition::popDevice(int prim_id, Value &out)
     if (it == artifact_->deviceTypes_.end())
         panic("gencc: popDevice on non-device prim " +
               std::to_string(prim_id));
-    bool ok = false;
-    out = popValue(prim_id, it->second, true, ok);
-    return ok;
+    return pop(prim_id, it->second, out);
 }
 
 bool
@@ -634,7 +625,7 @@ CompiledPartition::callActionMethod(int meth_id,
 {
     checkThread("callActionMethod");
     // Per-argument marshaling, each argument starting on a word
-    // boundary (the generated unpacker aligns between arguments).
+    // boundary (the generated side unpacks each from its own offset).
     std::vector<std::uint32_t> words;
     for (const Value &a : args) {
         BitSink sink;

@@ -214,14 +214,14 @@ class CompiledArtifact
     // FIFO occupancy; sets the reserved-slot count first when the
     // last argument is >= 0 (ABI v3).
     int (*fnSize_)(void *, int, int) = nullptr;
-    int (*fnDevPop_)(void *, int, std::uint32_t *, int) = nullptr;
     int (*fnCall_)(void *, int, const std::uint32_t *, int) = nullptr;
     int (*fnWords_)(int) = nullptr;
     // Hardware clock-edge entry points (ABI v2; stubs when the
     // partition is not synthesizable).
     int (*fnHwValid_)() = nullptr;
     int (*fnHwCycle_)(void *) = nullptr;
-    std::uint64_t (*fnHwStats_)(void *, int, int) = nullptr;
+    // Every rule's fire count in one call (ABI v4).
+    int (*fnHwFires_)(void *, std::uint64_t *, int) = nullptr;
 };
 
 /**
@@ -346,8 +346,9 @@ class CompiledPartition
      *  the same instance through bcl_gen_hw_cycle. */
     friend class CompiledHwPartition;
 
-    Value popValue(int prim_id, const TypePtr &type, bool device,
-                   bool &ok);
+    /** One bcl_gen_prim_pop of @p prim_id, a @p type message, into
+     *  @p out (popPrim's packed-aggregate contract). */
+    bool pop(int prim_id, const TypePtr &type, Value &out);
 
     /** Bind-or-verify the owning thread (see file comment). */
     void checkThread(const char *op);

@@ -42,6 +42,8 @@
 #include "vorbis/partitions.hpp"
 #include "workloads/workload.hpp"
 
+#include "random_types.hpp"
+
 namespace bcl {
 namespace {
 
@@ -300,6 +302,115 @@ TEST_P(CodegenExec, SameFifoDeqEnqRingsMatchInterpreter)
         ASSERT_EQ(got.size(), expect.size());
         for (size_t i = 0; i < got.size(); i++)
             EXPECT_EQ(got[i], expect[i]) << "message " << i;
+    }
+}
+
+/**
+ * The generated marshalers against the host's, on one compiled program
+ * with a Fifo per payload type (fixed edge shapes plus randomType
+ * draws) and an AudioDev. Random values go in through pushPrim (host
+ * packWords, generated unpack_<k>) and come back through popPrim or
+ * popDevice (generated pack_<k>, host unpackWords) equal. A pack keeps
+ * only each Bits field's declared bits, so the round trip cannot see
+ * a lost sign extension: the `sign` rule tests an unpacked Bit#(12)
+ * for < 0 in generated code. The root method `pair` unpacks two
+ * arguments from their word offsets.
+ */
+TEST(CodegenMarshal, EveryPayloadTypeRoundTripsThroughTheAbi)
+{
+    REQUIRE_HOST_COMPILER();
+    TypePtr b12 = Type::bits(12), b33 = Type::bits(33);
+    TypePtr vec12 = Type::vec(4, b12);
+    TypePtr nest = Type::record("Nest", {{"a", b12},
+                                         {"v", Type::vec(3, b33)},
+                                         {"b", Type::boolean()}});
+    // Two anonymous records that differ only inside a nested
+    // anonymous record must not share one C++ struct.
+    auto wrap = [](const TypePtr &leaf) {
+        return Type::record(
+            "", {{"f0", Type::record("", {{"f0", leaf}})}});
+    };
+    std::vector<TypePtr> types = {
+        Type::boolean(), Type::bits(1), b12, Type::bits(31),
+        Type::bits(32), b33, Type::bits(64), vec12, nest,
+        wrap(Type::bits(3)), wrap(Type::bits(40))};
+    Rng rng(0x3A5Cu);
+    for (int i = 0; i < 16; i++)
+        types.push_back(randomType(rng, 3));
+
+    ModuleBuilder b("Top");
+    for (size_t k = 0; k < types.size(); k++)
+        b.addFifo("q" + std::to_string(k), types[k], 4);
+    b.addFifo("devIn", nest, 4);
+    b.addAudioDev("dev", "SW");
+    b.addRule("drain", parA({callA("dev", "output",
+                                   {callV("devIn", "first")}),
+                             callA("devIn", "deq")}));
+    b.addFifo("probe", b12, 4);
+    b.addFifo("negs", Type::boolean(), 4);
+    b.addRule("sign",
+              letA("x", callV("probe", "first"),
+                   parA({callA("probe", "deq"),
+                         callA("negs", "enq",
+                               {primE(PrimOp::Lt,
+                                      {varE("x"), intE(12, 0)})})})));
+    b.addActionMethod("pair", {{"x", b33}, {"y", vec12}},
+                      parA({callA("q5", "enq", {varE("x")}),
+                            callA("q7", "enq", {varE("y")})}),
+                      "SW");
+    ElabProgram prog = elaborate(
+        ProgramBuilder().add(b.build()).setRoot("Top").build());
+    typecheck(prog);
+    CompiledPartition compiled(prog);
+
+    // Pops @p path until empty and expects exactly @p sent back.
+    auto expectBack = [&](const std::string &path,
+                          const std::vector<Value> &sent) {
+        int id = prog.primByPath(path);
+        bool dev = path == "dev";
+        std::vector<Value> got;
+        Value v;
+        while (dev ? compiled.popDevice(id, v) : compiled.popPrim(id, v))
+            got.push_back(v);
+        ASSERT_EQ(got.size(), sent.size()) << path;
+        for (size_t i = 0; i < got.size(); i++)
+            EXPECT_EQ(got[i], sent[i]) << path << " message " << i
+                                       << ": " << got[i].str() << " vs "
+                                       << sent[i].str();
+    };
+    // Fills @p path with four random values of @p t; returns them.
+    auto fill = [&](const std::string &path, const TypePtr &t) {
+        int id = prog.primByPath(path);
+        std::vector<Value> sent;
+        for (int n = 0; n < 4; n++) {
+            sent.push_back(randomValue(rng, t));
+            EXPECT_TRUE(compiled.pushPrim(id, sent.back())) << path;
+        }
+        EXPECT_FALSE(compiled.pushPrim(id, sent[0])) << path << " full";
+        return sent;
+    };
+
+    for (int round = 0; round < 3; round++) {
+        for (size_t k = 0; k < types.size(); k++) {
+            SCOPED_TRACE(types[k]->str());
+            const std::string q = "q" + std::to_string(k);
+            expectBack(q, fill(q, types[k]));
+        }
+
+        std::vector<Value> devSent = fill("devIn", nest);
+        std::vector<Value> probes = fill("probe", b12);
+        compiled.runToQuiescence();
+        expectBack("dev", devSent);
+        std::vector<Value> negs;
+        for (const Value &p : probes)
+            negs.push_back(Value::makeBool(p.asInt() < 0));
+        expectBack("negs", negs);
+
+        Value x = randomValue(rng, b33), y = randomValue(rng, vec12);
+        ASSERT_TRUE(compiled.callActionMethod(prog.rootMethod("pair"),
+                                              {x, y}));
+        expectBack("q5", {x});
+        expectBack("q7", {y});
     }
 }
 
@@ -743,6 +854,56 @@ TEST(CodegenUnits, SplitIsDeterministicAndUnitsStandAlone)
         std::remove(file.c_str());
         std::remove(err.c_str());
     }
+}
+
+/**
+ * The generated ABI marshals through one pack_/unpack_ pair per
+ * distinct payload type, and no extern "C" entry point marshals
+ * inline: on full-SW Vorbis, 16 ABI-visible primitives and one method
+ * argument share 4 payload types.
+ */
+TEST(CodegenUnits, AbiHasOneMarshalerPairPerPayloadType)
+{
+    ElabProgram prog = fullSwVorbis();
+    std::vector<TypePtr> types;
+    auto note = [&](const TypePtr &t) {
+        for (const TypePtr &seen : types) {
+            if (seen->equals(*t))
+                return;
+        }
+        types.push_back(t);
+    };
+    for (const auto &p : prog.prims) {
+        if (p.kind == "AudioDev")
+            note(devicePayloadType(prog, p.id));
+        else if (p.kind == "Fifo" || p.kind == "Sync" ||
+                 p.kind == "SyncTx" || p.kind == "SyncRx")
+            note(p.type);
+    }
+    for (int m : prog.mods[prog.rootMod].methodIds) {
+        for (const auto &prm : prog.methods[m].params)
+            note(prm.type);
+    }
+    ASSERT_EQ(types.size(), 4u);
+
+    std::vector<CppUnit> units = generateCpp(prog, "BclGenPartition");
+    ASSERT_EQ(units[0].name, "abi");
+    const std::string &text = units[0].text;
+    auto count = [&](const std::string &needle, size_t from) {
+        size_t n = 0;
+        for (size_t at = text.find(needle, from); at != std::string::npos;
+             at = text.find(needle, at + 1))
+            n++;
+        return n;
+    };
+    EXPECT_EQ(count("(std::uint32_t *words, int nwords, const ", 0),
+              types.size());
+    EXPECT_EQ(count("(const std::uint32_t *words, int nwords) {", 0),
+              types.size());
+    const size_t glue = text.find("extern \"C\" {");
+    ASSERT_NE(glue, std::string::npos);
+    EXPECT_EQ(count("r_.take(", glue), 0u);
+    EXPECT_EQ(count("w_.put(", glue), 0u);
 }
 
 /**

@@ -42,28 +42,6 @@
 
 using namespace bcl;
 
-namespace {
-
-class HostLink final : public RemoteLink
-{
-  public:
-    explicit HostLink(int fd) : conn_(fd) {}
-    bool send(const Frame &f, int) override { return conn_.send(f); }
-    RecvStatus recv(Frame &out, int timeout_ms) override
-    {
-        return conn_.recv(out, timeout_ms);
-    }
-    const std::string &error() const override
-    {
-        return conn_.error();
-    }
-
-  private:
-    FrameConn conn_;
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -136,7 +114,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "accept timed out — exiting\n");
             return once ? 1 : 0;
         }
-        HostLink link(fd);
+        TcpRemoteLink link(fd);
         int rc = servePartitionSlices(
             link, part, timeout_ms, [&part](Store &store) {
                 return std::make_unique<ClockSim>(part, store);
